@@ -4,11 +4,15 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use raqo_catalog::tpch::TpchSchema;
 use raqo_catalog::{QuerySpec, RandomSchema, RandomSchemaConfig};
-use raqo_core::{Parallelism, PlannerKind, RaqoOptimizer, ResourceStrategy, Telemetry};
-use raqo_cost::JoinCostModel;
+use raqo_core::{
+    BatchCostEval, Objective, Parallelism, PlannerKind, RaqoOptimizer, ResourceStrategy, Telemetry,
+};
+use raqo_cost::{JoinCostModel, OperatorCost};
 use raqo_planner::coster::FixedResourceCoster;
 use raqo_planner::{DpFill, IdpConfig, IdpPlanner, RandomizedConfig, SelingerPlanner};
-use raqo_resource::{CacheLookup, ClusterConditions};
+use raqo_resource::{
+    brute_force, brute_force_batch, BudgetTracker, CacheLookup, ClusterConditions, ResourceConfig,
+};
 use std::hint::black_box;
 
 fn fast_randomized() -> PlannerKind {
@@ -317,6 +321,26 @@ fn cost_kernel_simd(c: &mut Criterion) {
                 black_box(out.last().copied())
             })
         });
+        // The whole grid scan around the kernel: fill, kernel, sanitize,
+        // argmin. Divide by the grid size for ns/config.
+        let (tel, budget) = (Telemetry::disabled(), BudgetTracker::unlimited());
+        let eval = BatchCostEval {
+            model,
+            join: JoinImpl::SortMerge,
+            build_gb: 4.0,
+            probe_gb: 40.0,
+            objective: Objective::Time,
+            tel: &tel,
+            budget: &budget,
+        };
+        let scan = || {
+            brute_force_batch(&cluster, |_, r: &[ResourceConfig], c: &mut [f64]| eval.eval(r, c))
+        };
+        let reference = brute_force(&cluster, |r| {
+            model.join_cost_at(JoinImpl::SortMerge, 4.0, 40.0, r).unwrap_or(f64::INFINITY)
+        });
+        assert_eq!(scan(), reference, "cost_kernel_simd: grid scan disagrees on the {map} map");
+        group.bench_function(BenchmarkId::new("whole_scan", map), |b| b.iter(|| black_box(scan())));
     }
     group.finish();
 }

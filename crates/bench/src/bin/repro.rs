@@ -1333,6 +1333,12 @@ fn main() {
             report.cost_kernel.bitwise_identical
         );
         println!(
+            "grid scan: {:.2} ns/config vs kernel {:.2} ns/config ({:.1}x overhead)",
+            report.cost_kernel.scan_ns_per_config,
+            report.cost_kernel.kernel_ns_per_config,
+            report.cost_kernel.scan_overhead
+        );
+        println!(
             "batched climb: {:.2}x ({} -> {} ms), outcomes identical: {}",
             report.climb.speedup,
             report.climb.runs[0].wall_ms.round(),

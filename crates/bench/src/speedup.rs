@@ -20,10 +20,16 @@ use crate::experiments::timed;
 use crate::Table;
 use raqo_catalog::tpch::TpchSchema;
 use raqo_catalog::{Catalog, JoinGraph, QuerySpec, RandomSchema, RandomSchemaConfig, TableStats};
-use raqo_core::{DegradationRung, Parallelism, PlannerKind, RaqoOptimizer, ResourceStrategy};
-use raqo_cost::JoinCostModel;
+use raqo_core::{
+    BatchCostEval, DegradationRung, Objective, Parallelism, PlannerKind, RaqoOptimizer,
+    ResourceStrategy,
+};
+use raqo_cost::{JoinCostModel, OperatorCost};
 use raqo_planner::RandomizedConfig;
-use raqo_resource::ClusterConditions;
+use raqo_resource::{
+    brute_force, brute_force_batch, BudgetTracker, ClusterConditions, ResourceConfig,
+};
+use raqo_telemetry::Telemetry;
 use serde::Serialize;
 
 /// One benchmark mode's measurements.
@@ -195,6 +201,10 @@ pub fn measure_telemetry(quick: bool) -> TelemetryOverheadSeries {
 /// Both paths are bit-identical by contract; `kernel` records which one the
 /// dispatcher actually ran, so a report from a non-SIMD build is honest
 /// about measuring scalar-vs-scalar.
+///
+/// The whole-scan row times `brute_force_batch` over the same grid through
+/// the optimizer's sanitizing evaluator: grid fill, kernel, sanitize and
+/// argmin together. Its ratio to the kernel alone is the scan overhead.
 #[derive(Debug, Clone, Serialize)]
 pub struct CostKernelSeries {
     /// `"avx2"` when `--features simd` compiled the explicit kernel in and
@@ -210,6 +220,12 @@ pub struct CostKernelSeries {
     pub speedup: f64,
     /// Both paths produced bitwise-identical costs over the whole grid.
     pub bitwise_identical: bool,
+    /// The dispatching kernel alone, per configuration.
+    pub kernel_ns_per_config: f64,
+    /// The whole `brute_force_batch` scan, per configuration.
+    pub scan_ns_per_config: f64,
+    /// `scan_ns_per_config / kernel_ns_per_config`.
+    pub scan_overhead: f64,
 }
 
 /// Per-seed multi-start hill climbing vs the batched lock-step climber,
@@ -263,6 +279,30 @@ pub fn measure_cost_kernel(quick: bool) -> CostKernelSeries {
         }
     });
 
+    let tel = Telemetry::disabled();
+    let budget = BudgetTracker::unlimited();
+    let eval = BatchCostEval {
+        model: &model,
+        join: JoinImpl::SortMerge,
+        build_gb: 4.0,
+        probe_gb: 40.0,
+        objective: Objective::Time,
+        tel: &tel,
+        budget: &budget,
+    };
+    let scan =
+        || brute_force_batch(&cluster, |_, r: &[ResourceConfig], c: &mut [f64]| eval.eval(r, c));
+    let reference = brute_force(&cluster, |r| {
+        model.join_cost_at(JoinImpl::SortMerge, 4.0, 40.0, r).unwrap_or(f64::INFINITY)
+    });
+    assert_eq!(scan(), reference, "the batched grid scan disagrees with the scalar reference");
+    let (_, scan_ms) = timed(|| {
+        for _ in 0..repeats {
+            black_box(scan());
+        }
+    });
+    let per_config = |ms: f64| ms * 1e6 / (repeats as f64 * configs.len() as f64);
+
     CostKernelSeries {
         kernel: if raqo_cost::simd_active() { "avx2".into() } else { "scalar".into() },
         configs: configs.len(),
@@ -271,6 +311,9 @@ pub fn measure_cost_kernel(quick: bool) -> CostKernelSeries {
         dispatch_ms,
         speedup: scalar_ms / dispatch_ms.max(1e-9),
         bitwise_identical,
+        kernel_ns_per_config: per_config(dispatch_ms),
+        scan_ns_per_config: per_config(scan_ms),
+        scan_overhead: scan_ms / dispatch_ms.max(1e-9),
     }
 }
 
@@ -811,6 +854,7 @@ mod tests {
         assert!(series.bitwise_identical, "kernel paths diverge: {series:?}");
         assert_eq!(series.configs, 10_000);
         assert!(series.scalar_ms > 0.0 && series.dispatch_ms > 0.0, "{series:?}");
+        assert!(series.scan_ns_per_config > 0.0 && series.kernel_ns_per_config > 0.0, "{series:?}");
         // The kernel label must match what the build actually compiled in.
         assert_eq!(series.kernel == "avx2", raqo_cost::simd_active(), "{series:?}");
     }

@@ -38,7 +38,7 @@ pub use explain::{explain, explain_analyze};
 pub use optimizer::{
     Degradation, DegradationRung, DegradationTrigger, PlannerKind, RaqoOptimizer, RaqoPlan,
 };
-pub use raqo_coster::{Objective, RaqoCoster, RaqoStats, ResourceStrategy};
+pub use raqo_coster::{BatchCostEval, Objective, RaqoCoster, RaqoStats, ResourceStrategy};
 pub use raqo_resource::{
     BudgetTracker, BudgetTrigger, Parallelism, PlanningBudget, ShardedCacheBank, SharedCacheBank,
 };

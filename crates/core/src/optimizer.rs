@@ -58,10 +58,8 @@ impl PlannerRun {
 /// resource space — the fixed allocation of the ladder's rule-based rung.
 fn grid_midpoint(cluster: &ClusterConditions) -> ResourceConfig {
     let mut mid = cluster.min;
-    let steps = cluster.discrete_steps();
     for i in 0..cluster.dims() {
-        let idx = (cluster.points_along(i) - 1) / 2;
-        mid.set(i, cluster.min.get(i) + idx as f64 * steps.get(i));
+        mid.set(i, cluster.axis_value(i, (cluster.points_along(i) - 1) / 2));
     }
     mid
 }

@@ -63,15 +63,15 @@ impl Objective {
     /// `INFINITY` = rejected. Three-dimensional configurations price their
     /// cores at the serverless memory-equivalent rate.
     fn score(&self, time_sec: f64, r: &ResourceConfig) -> f64 {
-        let money = money_of(time_sec, r);
+        // Only the arms that read money compute it (and assert its inputs).
         match self {
             Objective::Time => time_sec,
-            Objective::Money => money,
+            Objective::Money => money_of(time_sec, r),
             Objective::Weighted { time_weight } => {
-                time_weight * time_sec + (1.0 - time_weight) * money
+                time_weight * time_sec + (1.0 - time_weight) * money_of(time_sec, r)
             }
             Objective::TimeUnderBudget { money_budget_tb_sec } => {
-                if money <= *money_budget_tb_sec {
+                if money_of(time_sec, r) <= *money_budget_tb_sec {
                     time_sec
                 } else {
                     f64::INFINITY
@@ -93,6 +93,75 @@ fn money_of(time_sec: f64, r: &ResourceConfig) -> f64 {
         )
     } else {
         raqo_sim::money::monetary_cost_tb_sec(time_sec, r.containers(), r.container_size_gb())
+    }
+}
+
+/// The sanitizing batch evaluator behind both batched resource searches
+/// (the brute-force grid scan and the lock-step hill climber): one join's
+/// cost over a slice of configurations, scalarized by the objective.
+///
+/// Each call is charged against the planning budget (exhausted → every
+/// output +∞) and runs the model's batch kernel. A NaN or negative output
+/// is a model bug: it becomes +∞ (infeasible) and is counted under
+/// `raqo_cost_sanitizations_total{site="batch"}` once per call. +∞ stays
+/// the legitimate infeasibility signal. The objective is applied only to
+/// finite outputs (0·∞ would be NaN under a zero weight), and not at all
+/// under [`Objective::Time`], whose score is the time itself.
+pub struct BatchCostEval<'c, M> {
+    pub model: &'c M,
+    pub join: JoinImpl,
+    pub build_gb: f64,
+    pub probe_gb: f64,
+    pub objective: Objective,
+    pub tel: &'c Telemetry,
+    pub budget: &'c BudgetTracker,
+}
+
+impl<M: OperatorCost> BatchCostEval<'_, M> {
+    /// Fill `out[i]` with the scalarized cost at `configs[i]`.
+    pub fn eval(&self, configs: &[ResourceConfig], out: &mut [f64]) {
+        self.tel.inc(Counter::BatchChunks);
+        if !self.budget.charge(configs.len() as u64) {
+            out.fill(f64::INFINITY);
+            return;
+        }
+        match probes::probe("cost.model.batch") {
+            probes::Action::Fail => {
+                out.fill(f64::INFINITY);
+                return;
+            }
+            probes::Action::Nan => out.fill(f64::NAN),
+            probes::Action::Proceed => self.model.join_cost_batch_at(
+                self.join,
+                self.build_gb,
+                self.probe_gb,
+                configs,
+                out,
+            ),
+        }
+        let mut sanitized = 0u64;
+        if matches!(self.objective, Objective::Time) {
+            // `c >= 0.0` is false exactly for NaN and negatives.
+            for c in out.iter_mut() {
+                let ok = *c >= 0.0;
+                sanitized += !ok as u64;
+                *c = if ok { *c } else { f64::INFINITY };
+            }
+        } else {
+            for (c, r) in out.iter_mut().zip(configs) {
+                *c = if c.is_nan() || *c < 0.0 {
+                    sanitized += 1;
+                    f64::INFINITY
+                } else if c.is_finite() {
+                    self.objective.score(*c, r)
+                } else {
+                    f64::INFINITY
+                };
+            }
+        }
+        if sanitized > 0 {
+            self.tel.add(Counter::CostSanitizationsBatch, sanitized);
+        }
     }
 }
 
@@ -404,6 +473,9 @@ impl<M: OperatorCost + Send + Sync> CostCtx<'_, M> {
             }
         };
 
+        let batch_eval =
+            BatchCostEval { model, join, build_gb: build, probe_gb: probe, objective, tel, budget };
+
         let outcome: PlanningOutcome = match self.strategy {
             // Off routes through the sequential scan inside the parallel
             // entry points; any other setting splits the grid across
@@ -411,35 +483,9 @@ impl<M: OperatorCost + Send + Sync> CostCtx<'_, M> {
             ResourceStrategy::BruteForce => {
                 if self.use_batch {
                     // Whole grid slices go through the fused kernel; raw
-                    // times are scalarized afterwards. The explicit
-                    // `is_finite` guard keeps infeasible points at +∞ even
-                    // under objectives with a zero weight (0·∞ is NaN).
+                    // times are sanitized and scalarized afterwards.
                     let batch_fn = |_lo: u64, configs: &[ResourceConfig], out: &mut [f64]| {
-                        tel.inc(Counter::BatchChunks);
-                        if !budget.charge(configs.len() as u64) {
-                            out.fill(f64::INFINITY);
-                            return;
-                        }
-                        match probes::probe("cost.model.batch") {
-                            probes::Action::Fail => {
-                                out.fill(f64::INFINITY);
-                                return;
-                            }
-                            probes::Action::Nan => out.fill(f64::NAN),
-                            probes::Action::Proceed => {
-                                model.join_cost_batch_at(join, build, probe, configs, out)
-                            }
-                        }
-                        for (c, r) in out.iter_mut().zip(configs) {
-                            *c = if c.is_nan() || *c < 0.0 {
-                                tel.inc(Counter::CostSanitizationsBatch);
-                                f64::INFINITY
-                            } else if c.is_finite() {
-                                objective.score(*c, r)
-                            } else {
-                                f64::INFINITY
-                            };
-                        }
+                        batch_eval.eval(configs, out)
                     };
                     brute_force_parallel_batch_traced(
                         self.cluster,
@@ -462,33 +508,8 @@ impl<M: OperatorCost + Send + Sync> CostCtx<'_, M> {
                     // climber evaluates every live seed's neighborhood in
                     // one fused call per dimension — bit-identical outcomes
                     // to the per-seed multi-start below.
-                    let batch_fn = |configs: &[ResourceConfig], out: &mut [f64]| {
-                        tel.inc(Counter::BatchChunks);
-                        if !budget.charge(configs.len() as u64) {
-                            out.fill(f64::INFINITY);
-                            return;
-                        }
-                        match probes::probe("cost.model.batch") {
-                            probes::Action::Fail => {
-                                out.fill(f64::INFINITY);
-                                return;
-                            }
-                            probes::Action::Nan => out.fill(f64::NAN),
-                            probes::Action::Proceed => {
-                                model.join_cost_batch_at(join, build, probe, configs, out)
-                            }
-                        }
-                        for (c, r) in out.iter_mut().zip(configs) {
-                            *c = if c.is_nan() || *c < 0.0 {
-                                tel.inc(Counter::CostSanitizationsBatch);
-                                f64::INFINITY
-                            } else if c.is_finite() {
-                                objective.score(*c, r)
-                            } else {
-                                f64::INFINITY
-                            };
-                        }
-                    };
+                    let batch_fn =
+                        |configs: &[ResourceConfig], out: &mut [f64]| batch_eval.eval(configs, out);
                     hill_climb_multi_batched_traced(
                         self.cluster,
                         batch_fn,
@@ -532,7 +553,7 @@ impl<M: OperatorCost + Send + Sync> CostCtx<'_, M> {
                     // Cached configurations may come from interpolation or
                     // (after re-optimization) other cluster conditions:
                     // clamp and snap to the grid before use.
-                    let snapped = snap_to_grid(self.cluster, &cached);
+                    let snapped = self.cluster.snap_to_grid(&cached);
                     stats.cache_hits += 1;
                     tel.inc(hit_counter);
                     let c = cost_fn(&snapped);
@@ -645,18 +666,6 @@ impl<M: OperatorCost + Send + Sync> CostCtx<'_, M> {
         self.tel.observe_elapsed_us(Hist::PlanCostLatencyUs, &sw);
         best
     }
-}
-
-/// Clamp into bounds and round onto the discrete grid.
-fn snap_to_grid(cluster: &ClusterConditions, r: &ResourceConfig) -> ResourceConfig {
-    let mut out = cluster.clamp(r);
-    let steps = cluster.discrete_steps();
-    for i in 0..out.dims() {
-        let offset = out.get(i) - cluster.min.get(i);
-        let snapped = cluster.min.get(i) + (offset / steps.get(i)).round() * steps.get(i);
-        out.set(i, snapped.clamp(cluster.min.get(i), cluster.max.get(i)));
-    }
-    out
 }
 
 impl<M: OperatorCost + Send + Sync> PlanCoster for RaqoCoster<'_, M> {
@@ -1097,9 +1106,9 @@ mod tests {
     #[test]
     fn snap_to_grid_rounds_and_clamps() {
         let cluster = ClusterConditions::paper_default();
-        let r = snap_to_grid(&cluster, &ResourceConfig::containers_and_size(10.4, 3.6));
+        let r = cluster.snap_to_grid(&ResourceConfig::containers_and_size(10.4, 3.6));
         assert_eq!(r, ResourceConfig::containers_and_size(10.0, 4.0));
-        let r = snap_to_grid(&cluster, &ResourceConfig::containers_and_size(400.0, 0.2));
+        let r = cluster.snap_to_grid(&ResourceConfig::containers_and_size(400.0, 0.2));
         assert_eq!(r, ResourceConfig::containers_and_size(100.0, 1.0));
     }
 

@@ -9,7 +9,8 @@
 //! * [`brute_force_parallel`] splits the grid into contiguous index ranges
 //!   and merges per-chunk winners by `(cost, global grid index)`, which is
 //!   exactly the sequential scan's "earlier grid point wins ties" rule —
-//!   the outcome is bit-identical to [`brute_force`] for any worker count.
+//!   the outcome is bit-identical to [`brute_force`](crate::brute_force)
+//!   for any worker count.
 //! * [`hill_climb_multi`] climbs from a deterministic seed set (by default
 //!   a low-discrepancy Halton spread plus the min and max grid corners, see
 //!   [`SeedStrategy`]). Each climb is independent, so scheduling cannot
@@ -31,7 +32,7 @@
 
 use crate::cluster::ClusterConditions;
 use crate::config::ResourceConfig;
-use crate::planner::{brute_force, brute_force_batch, hill_climb, PlanningOutcome, BATCH_CHUNK};
+use crate::planner::{grid_outcome, hill_climb, scan_range, PlanningOutcome};
 use crate::probes;
 use raqo_telemetry::{Counter, Telemetry};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -63,12 +64,14 @@ impl Parallelism {
 
 /// Exhaustive grid search split across worker threads.
 ///
-/// Bit-identical to [`brute_force`]: each worker scans a contiguous
-/// row-major index range of the grid, tracking the lowest-cost point in its
-/// range (first such point on ties); the merge then prefers lower cost and,
-/// on equal cost, the lower global index — the same total order a single
-/// sequential scan applies. `iterations` is the full grid size, as for the
-/// sequential planner.
+/// Bit-identical to [`brute_force`](crate::brute_force): each worker scans
+/// a contiguous row-major index range of the grid, tracking the lowest-cost
+/// point in its range (first such point on ties); the merge then prefers
+/// lower cost and, on equal cost, the lower global index — the same total
+/// order a single sequential scan applies. `iterations` is the full grid
+/// size, as for the sequential planner. The identity holds whenever
+/// `cost_fn` never returns NaN: the reference scan lets a NaN cost replace
+/// its current best, while this scan never picks a NaN point.
 pub fn brute_force_parallel<F>(
     cluster: &ClusterConditions,
     cost_fn: F,
@@ -80,31 +83,10 @@ where
     brute_force_parallel_traced(cluster, cost_fn, parallelism, &Telemetry::disabled())
 }
 
-/// Sequential scan of one contiguous grid chunk `[lo, hi)`, tracking the
-/// lowest-cost point (first on ties). Shared by the spawned workers and the
-/// panic-recovery path so both produce identical results.
-fn scan_chunk<F>(
-    cluster: &ClusterConditions,
-    lo: u64,
-    hi: u64,
-    cost_fn: &F,
-) -> Option<(u64, ResourceConfig, f64)>
-where
-    F: Fn(&ResourceConfig) -> f64,
-{
-    let mut best: Option<(u64, ResourceConfig, f64)> = None;
-    for (off, r) in cluster.grid_from(lo).take((hi.saturating_sub(lo)) as usize).enumerate() {
-        let c = cost_fn(&r);
-        match best {
-            Some((_, _, bc)) if bc <= c => {}
-            _ => best = Some((lo + off as u64, r, c)),
-        }
-    }
-    best
-}
-
 /// [`brute_force_parallel`] with a telemetry sink for worker-panic
-/// accounting.
+/// accounting. The per-point closure runs through the same chunked grid
+/// scan as [`brute_force_parallel_batch`], so it shares that scan's NaN
+/// caveat (see [`brute_force_parallel`]).
 pub fn brute_force_parallel_traced<F>(
     cluster: &ClusterConditions,
     cost_fn: F,
@@ -114,80 +96,23 @@ pub fn brute_force_parallel_traced<F>(
 where
     F: Fn(&ResourceConfig) -> f64 + Sync,
 {
-    let total = cluster.grid_size();
-    let workers = parallelism.workers().min(total.max(1) as usize).max(1);
-    if matches!(parallelism, Parallelism::Off) || workers == 1 {
-        return brute_force(cluster, |r| cost_fn(r));
-    }
-
-    let chunk = total.div_ceil(workers as u64);
-    let cost_fn = &cost_fn;
-    // Workers enter the caller's trace scope so anything the cost closure
-    // reports (e.g. a sanitized model output) attributes to the right
-    // ticket rather than an ambient worker thread.
-    let scope_token = tel.current_scope();
-    // Ok(best) = worker finished; Err(lo, hi) = worker panicked, chunk
-    // still owed.
-    let per_chunk: Vec<Result<Option<(u64, ResourceConfig, f64)>, (u64, u64)>> =
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers as u64)
-                .map(|w| {
-                    let lo = w * chunk;
-                    let hi = ((w + 1) * chunk).min(total);
-                    let h = scope.spawn(move || {
-                        catch_unwind(AssertUnwindSafe(|| {
-                            let _in_scope = tel.enter_scope(scope_token);
-                            let _ = probes::probe("resource.worker.grid");
-                            scan_chunk(cluster, lo, hi, cost_fn)
-                        }))
-                    });
-                    (lo, hi, h)
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|(lo, hi, h)| match h.join() {
-                    Ok(Ok(best)) => Ok(best),
-                    // The worker panicked (payload caught by catch_unwind) or
-                    // died before reaching it; either way the chunk is re-run.
-                    Ok(Err(_payload)) | Err(_payload) => Err((lo, hi)),
-                })
-                .collect()
-        });
-
-    let mut best: Option<(u64, ResourceConfig, f64)> = None;
-    for entry in per_chunk {
-        let chunk_best = match entry {
-            Ok(b) => b,
-            Err((lo, hi)) => {
-                // Recover the lost chunk sequentially on this thread — same
-                // scan, same tie-breaks, so the merged result is bit-identical
-                // to an all-healthy run.
-                tel.inc(Counter::WorkerPanics);
-                scan_chunk(cluster, lo, hi, cost_fn)
-            }
-        };
-        if let Some(c) = chunk_best {
-            match best {
-                Some(b) if b.2.total_cmp(&c.2).then(b.0.cmp(&c.0)).is_le() => {}
-                _ => best = Some(c),
-            }
+    let batch_fn = |_: u64, configs: &[ResourceConfig], costs: &mut [f64]| {
+        for (r, c) in configs.iter().zip(costs.iter_mut()) {
+            *c = cost_fn(r);
         }
-    }
-    // Infallible: workers cover the whole grid, grids have >= 1 point by
-    // construction (ClusterConditions ranges are inclusive), and failed
-    // chunks were re-scanned above.
-    let (_, config, cost) = best.expect("cluster grid is never empty");
-    PlanningOutcome { config, cost, iterations: total }
+    };
+    scan_grid(cluster, &batch_fn, parallelism, tel, "resource.worker.grid")
 }
 
 /// Batched variant of [`brute_force_parallel`]: each worker scans its
-/// contiguous index range in [`BATCH_CHUNK`]-sized slices through a batched
-/// cost evaluator (see [`brute_force_batch`] for the evaluator contract),
-/// instead of calling a per-point closure. Winner selection stays by
+/// contiguous index range in [`BATCH_CHUNK`](crate::BATCH_CHUNK)-sized
+/// slices through a batched cost evaluator (see
+/// [`brute_force_batch`](crate::brute_force_batch) for the evaluator
+/// contract), instead of calling a per-point closure. Winner selection stays by
 /// `(cost, global grid index)`, so the result is bit-identical to the
 /// sequential scan for any worker count whenever the evaluator agrees with
-/// the scalar cost function point-wise.
+/// the scalar cost function point-wise and never returns NaN (a NaN cost
+/// never wins).
 pub fn brute_force_parallel_batch<F>(
     cluster: &ClusterConditions,
     batch_fn: F,
@@ -197,42 +122,6 @@ where
     F: Fn(u64, &[ResourceConfig], &mut [f64]) + Sync,
 {
     brute_force_parallel_batch_traced(cluster, batch_fn, parallelism, &Telemetry::disabled())
-}
-
-/// Batched scan of one contiguous grid chunk `[lo, hi)` in
-/// [`BATCH_CHUNK`]-sized slices. Shared by workers and panic recovery.
-fn scan_chunk_batch<F>(
-    cluster: &ClusterConditions,
-    lo: u64,
-    hi: u64,
-    batch_fn: &F,
-) -> Option<(u64, ResourceConfig, f64)>
-where
-    F: Fn(u64, &[ResourceConfig], &mut [f64]),
-{
-    let mut best: Option<(u64, ResourceConfig, f64)> = None;
-    let mut configs: Vec<ResourceConfig> = Vec::with_capacity(BATCH_CHUNK);
-    let mut costs = vec![0.0f64; BATCH_CHUNK];
-    let mut iter = cluster.grid_from(lo);
-    let mut at = lo;
-    while at < hi {
-        let take = ((hi - at) as usize).min(BATCH_CHUNK);
-        configs.clear();
-        configs.extend(iter.by_ref().take(take));
-        let n = configs.len();
-        if n == 0 {
-            break;
-        }
-        batch_fn(at, &configs, &mut costs[..n]);
-        for (off, (r, &c)) in configs.iter().zip(&costs[..n]).enumerate() {
-            match best {
-                Some((_, _, bc)) if bc <= c => {}
-                _ => best = Some((at + off as u64, *r, c)),
-            }
-        }
-        at += n as u64;
-    }
-    best
 }
 
 /// [`brute_force_parallel_batch`] with a telemetry sink for worker-panic
@@ -246,60 +135,86 @@ pub fn brute_force_parallel_batch_traced<F>(
 where
     F: Fn(u64, &[ResourceConfig], &mut [f64]) + Sync,
 {
-    let total = cluster.grid_size();
-    let workers = parallelism.workers().min(total.max(1) as usize).max(1);
+    scan_grid(cluster, &batch_fn, parallelism, tel, "resource.worker.grid_batch")
+}
+
+/// The grid scan over `parallelism` workers: one axis table and chunk
+/// fill, one [`scan_range`] per contiguous index range, winners merged by
+/// `(cost, global index)`. `Off` (or a single worker) scans `[0, len)` on
+/// the calling thread. `probe` names the fault-injection site each worker
+/// passes.
+fn scan_grid<F>(
+    cluster: &ClusterConditions,
+    batch_fn: &F,
+    parallelism: Parallelism,
+    tel: &Telemetry,
+    probe: &'static str,
+) -> PlanningOutcome
+where
+    F: Fn(u64, &[ResourceConfig], &mut [f64]) + Sync,
+{
+    let axes = cluster.axes();
+    let total = axes.len();
+    let grid = axes.chunk_fill();
+    let scan = |lo: u64, hi: u64| scan_range(&grid, lo, hi, &mut |at, r, c| batch_fn(at, r, c));
+    let workers = parallelism.workers().min(total as usize).max(1);
     if matches!(parallelism, Parallelism::Off) || workers == 1 {
-        return brute_force_batch(cluster, |lo, configs, costs| batch_fn(lo, configs, costs));
+        let best = scan(0, total);
+        return grid_outcome(&axes, best);
     }
 
     let chunk = total.div_ceil(workers as u64);
-    let batch_fn = &batch_fn;
+    // Workers enter the caller's trace scope so anything the cost closure
+    // reports (e.g. a sanitized model output) attributes to the right
+    // ticket rather than an ambient worker thread.
     let scope_token = tel.current_scope();
-    let per_chunk: Vec<Result<Option<(u64, ResourceConfig, f64)>, (u64, u64)>> =
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers as u64)
-                .map(|w| {
-                    let lo = w * chunk;
-                    let hi = ((w + 1) * chunk).min(total);
-                    let h = scope.spawn(move || {
-                        catch_unwind(AssertUnwindSafe(|| {
-                            let _in_scope = tel.enter_scope(scope_token);
-                            let _ = probes::probe("resource.worker.grid_batch");
-                            scan_chunk_batch(cluster, lo, hi, batch_fn)
-                        }))
-                    });
-                    (lo, hi, h)
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|(lo, hi, h)| match h.join() {
-                    Ok(Ok(best)) => Ok(best),
-                    Ok(Err(_payload)) | Err(_payload) => Err((lo, hi)),
-                })
-                .collect()
-        });
+    // Ok(best) = worker finished; Err(lo, hi) = worker panicked, chunk
+    // still owed.
+    let per_chunk: Vec<Result<(u64, f64), (u64, u64)>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers as u64)
+            .map(|w| {
+                let lo = w * chunk;
+                let hi = ((w + 1) * chunk).min(total);
+                let h = scope.spawn(move || {
+                    catch_unwind(AssertUnwindSafe(|| {
+                        let _in_scope = tel.enter_scope(scope_token);
+                        let _ = probes::probe(probe);
+                        scan(lo, hi)
+                    }))
+                });
+                (lo, hi, h)
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|(lo, hi, h)| match h.join() {
+                Ok(Ok(best)) => Ok(best),
+                // The worker panicked (payload caught by catch_unwind) or
+                // died before reaching it; either way the chunk is re-run.
+                Ok(Err(_payload)) | Err(_payload) => Err((lo, hi)),
+            })
+            .collect()
+    });
 
-    let mut best: Option<(u64, ResourceConfig, f64)> = None;
+    // Chunks arrive in index order, so a later chunk wins only on strictly
+    // lower cost — the sequential scan's "earlier point wins ties".
+    let mut best: Option<(u64, f64)> = None;
     for entry in per_chunk {
-        let chunk_best = match entry {
-            Ok(b) => b,
-            Err((lo, hi)) => {
-                tel.inc(Counter::WorkerPanics);
-                scan_chunk_batch(cluster, lo, hi, batch_fn)
-            }
-        };
-        if let Some(c) = chunk_best {
-            match best {
-                Some(b) if b.2.total_cmp(&c.2).then(b.0.cmp(&c.0)).is_le() => {}
-                _ => best = Some(c),
-            }
+        let chunk_best = entry.unwrap_or_else(|(lo, hi)| {
+            // Recover the lost chunk sequentially on this thread — same
+            // scan, same tie-breaks, so the merged result is bit-identical
+            // to an all-healthy run.
+            tel.inc(Counter::WorkerPanics);
+            scan(lo, hi)
+        });
+        match best {
+            Some((_, bc)) if bc <= chunk_best.1 => {}
+            _ => best = Some(chunk_best),
         }
     }
-    // Infallible for the same reason as the scalar variant: full grid
-    // coverage, non-empty grid, failed chunks re-scanned.
-    let (_, config, cost) = best.expect("cluster grid is never empty");
-    PlanningOutcome { config, cost, iterations: total }
+    // Infallible: workers >= 1 cover the whole grid and failed chunks were
+    // re-scanned above.
+    grid_outcome(&axes, best.expect("at least one grid chunk"))
 }
 
 /// Which deterministic seed set multi-start hill climbing uses.
@@ -317,17 +232,6 @@ pub enum SeedStrategy {
     /// The former default: every corner of the bounding box followed by the
     /// grid-snapped centroid. Kept as a fallback/reference mode.
     CornersCentroid,
-}
-
-/// The value of grid point `steps` along dimension `dim`, computed by
-/// repeated step addition so it is bit-identical to the grid iterator's
-/// coordinates.
-fn grid_value(cluster: &ClusterConditions, dim: usize, steps: u64) -> f64 {
-    let mut v = cluster.min.get(dim);
-    for _ in 0..steps {
-        v += cluster.discrete_steps().get(dim);
-    }
-    v
 }
 
 /// Element `index` of the van der Corput sequence in the given base — the
@@ -371,7 +275,7 @@ fn halton_seeds(cluster: &ClusterConditions) -> Vec<ResourceConfig> {
     seeds.push(cluster.min);
     let mut top = cluster.min;
     for i in 0..dims {
-        top.set(i, grid_value(cluster, i, cluster.points_along(i) - 1));
+        top.set(i, cluster.axis_value(i, cluster.points_along(i) - 1));
     }
     if !seeds.contains(&top) {
         seeds.push(top);
@@ -382,7 +286,7 @@ fn halton_seeds(cluster: &ClusterConditions) -> Vec<ResourceConfig> {
         for i in 0..dims {
             let n = cluster.points_along(i);
             let steps = (halton(h, PRIMES[i]) * (n - 1) as f64).round() as u64;
-            r.set(i, grid_value(cluster, i, steps));
+            r.set(i, cluster.axis_value(i, steps));
         }
         if !seeds.contains(&r) {
             seeds.push(r);
@@ -402,7 +306,7 @@ fn corners_centroid_seeds(cluster: &ClusterConditions) -> Vec<ResourceConfig> {
             if corner & (1 << i) != 0 {
                 // Top of the *grid*, not the raw max bound: step from min so
                 // the seed is always a reachable grid point.
-                r.set(i, grid_value(cluster, i, cluster.points_along(i) - 1));
+                r.set(i, cluster.axis_value(i, cluster.points_along(i) - 1));
             }
         }
         if !seeds.contains(&r) {
@@ -411,7 +315,7 @@ fn corners_centroid_seeds(cluster: &ClusterConditions) -> Vec<ResourceConfig> {
     }
     let mut centroid = cluster.min;
     for i in 0..dims {
-        centroid.set(i, grid_value(cluster, i, cluster.points_along(i) / 2));
+        centroid.set(i, cluster.axis_value(i, cluster.points_along(i) / 2));
     }
     if !seeds.contains(&centroid) {
         seeds.push(centroid);
@@ -529,8 +433,8 @@ where
 ///
 /// `batch_fn(configs, costs)` must fill `costs[i]` with the cost at
 /// `configs[i]`, using `f64::INFINITY` for infeasible points — the same
-/// contract as [`brute_force_batch`] minus the grid index (climb probes are
-/// not grid-indexed).
+/// contract as [`brute_force_batch`](crate::brute_force_batch) minus the
+/// grid index (climb probes are not grid-indexed).
 ///
 /// The outcome is **bit-identical** to [`hill_climb_multi_with`] (for any
 /// [`Parallelism`]) whenever the evaluator agrees with the scalar cost
@@ -671,6 +575,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::planner::brute_force;
     use proptest::prelude::*;
 
     fn bowl(r: &ResourceConfig) -> f64 {

@@ -1,6 +1,6 @@
 //! Resource planners: brute force (§VI-B1) and hill climbing (Algorithm 1).
 
-use crate::cluster::ClusterConditions;
+use crate::cluster::{ChunkFill, ClusterConditions, GridAxes};
 use crate::config::ResourceConfig;
 
 /// Result of one resource-planning call.
@@ -56,37 +56,109 @@ pub const BATCH_CHUNK: usize = 256;
 /// `start_index` is the row-major grid index of `configs[0]`. Winner
 /// selection is by `(cost, grid index)` with ties toward the earlier point —
 /// bit-identical to [`brute_force`] whenever the evaluator agrees with the
-/// scalar cost function point-wise.
+/// scalar cost function point-wise and never returns NaN (a NaN cost never
+/// wins).
 pub fn brute_force_batch<F>(cluster: &ClusterConditions, mut batch_fn: F) -> PlanningOutcome
 where
     F: FnMut(u64, &[ResourceConfig], &mut [f64]),
 {
-    let total = cluster.grid_size();
-    let mut configs: Vec<ResourceConfig> = Vec::with_capacity(BATCH_CHUNK);
-    let mut costs = vec![0.0f64; BATCH_CHUNK];
-    let mut best: Option<(u64, ResourceConfig, f64)> = None;
-    let mut iter = cluster.grid();
-    let mut at = 0u64;
-    while at < total {
-        configs.clear();
-        configs.extend(iter.by_ref().take(BATCH_CHUNK));
-        let n = configs.len();
-        if n == 0 {
-            break;
-        }
-        batch_fn(at, &configs, &mut costs[..n]);
-        for (off, (r, &c)) in configs.iter().zip(&costs[..n]).enumerate() {
-            match best {
-                Some((_, _, bc)) if bc <= c => {}
-                _ => best = Some((at + off as u64, *r, c)),
-            }
-        }
+    let axes = cluster.axes();
+    let best = scan_range(&axes.chunk_fill(), 0, axes.len(), &mut batch_fn);
+    grid_outcome(&axes, best)
+}
+
+/// The outcome for a scan winner `(grid index, cost)` over the whole grid.
+pub(crate) fn grid_outcome(axes: &GridAxes, (index, cost): (u64, f64)) -> PlanningOutcome {
+    PlanningOutcome { config: axes.point_at(index), cost, iterations: axes.len() }
+}
+
+/// The grid scan: evaluate grid indices `[lo, hi)` in [`BATCH_CHUNK`]-sized
+/// slices through `batch_fn` and return the winner as `(grid index, cost)`
+/// — lowest cost, earliest index on ties. When no point costs less than
+/// +∞ the winner is `(lo, +∞)`, the same first point [`brute_force`]
+/// keeps. The sequential planner scans `[0, len)`; each parallel worker
+/// scans its own range, and the results merge by `(cost, index)`.
+pub(crate) fn scan_range<F>(grid: &ChunkFill, lo: u64, hi: u64, batch_fn: &mut F) -> (u64, f64)
+where
+    F: FnMut(u64, &[ResourceConfig], &mut [f64]),
+{
+    debug_assert!(hi < 1u64 << 53, "grid indices must be exact as f64");
+    let mut configs = [grid.template(); BATCH_CHUNK];
+    let mut costs = [0.0f64; BATCH_CHUNK];
+    let mut argmin = LaneArgmin::new();
+    let mut at = lo;
+    while at < hi {
+        let n = ((hi - at) as usize).min(BATCH_CHUNK);
+        grid.fill(at, &mut configs[..n]);
+        batch_fn(at, &configs[..n], &mut costs[..n]);
+        argmin.update(at, &costs[..n]);
         at += n as u64;
     }
-    // Infallible: same invariant as `brute_force` — the grid always
-    // contains at least the min corner.
-    let (_, config, cost) = best.expect("cluster grid is never empty");
-    PlanningOutcome { config, cost, iterations: total }
+    argmin.winner().unwrap_or((lo, f64::INFINITY))
+}
+
+/// Lanes of the branch-free argmin (one AVX2 register of `f64`s).
+const LANES: usize = 4;
+
+/// Branch-free running argmin over a stream of costs. Cost `j` of the
+/// stream goes to lane `j % LANES`, which keeps its strict minimum and the
+/// earliest index reaching it — a select instead of a branch, because new
+/// minima arrive unpredictably. [`LaneArgmin::winner`] then merges the
+/// lanes by `(cost, index)`.
+///
+/// Indices are carried as `f64` (exact below 2^53) so that the cost and
+/// index selects share one compare mask in the same vector registers.
+struct LaneArgmin {
+    cost: [f64; LANES],
+    index: [f64; LANES],
+}
+
+impl LaneArgmin {
+    fn new() -> Self {
+        LaneArgmin { cost: [f64::INFINITY; LANES], index: [f64::INFINITY; LANES] }
+    }
+
+    /// Fold in `costs`, the first at grid index `base`. Calls come in
+    /// ascending index order, so each lane sees its indices ascending and
+    /// its strict minimum keeps the earliest of equal costs.
+    #[inline]
+    fn update(&mut self, base: u64, costs: &[f64]) {
+        // Work on register copies so the lanes are not stored and reloaded
+        // between groups.
+        let (mut cost, mut index) = (self.cost, self.index);
+        let mut at: [f64; LANES] = std::array::from_fn(|l| (base + l as u64) as f64);
+        let mut groups = costs.chunks_exact(LANES);
+        for group in &mut groups {
+            for l in 0..LANES {
+                let better = group[l] < cost[l];
+                cost[l] = if better { group[l] } else { cost[l] };
+                index[l] = if better { at[l] } else { index[l] };
+                at[l] += LANES as f64;
+            }
+        }
+        for (l, &c) in groups.remainder().iter().enumerate() {
+            let better = c < cost[l];
+            cost[l] = if better { c } else { cost[l] };
+            index[l] = if better { at[l] } else { index[l] };
+        }
+        (self.cost, self.index) = (cost, index);
+    }
+
+    /// The lowest `(index, cost)` over the lanes by `(cost, index)`, or
+    /// `None` when no cost beat +∞.
+    fn winner(&self) -> Option<(u64, f64)> {
+        let mut best: Option<(f64, f64)> = None;
+        for (&c, &i) in self.cost.iter().zip(&self.index) {
+            if i == f64::INFINITY {
+                continue;
+            }
+            match best {
+                Some((bi, bc)) if bc < c || (bc == c && bi < i) => {}
+                _ => best = Some((i, c)),
+            }
+        }
+        best.map(|(i, c)| (i as u64, c))
+    }
 }
 
 /// Hill-climbing resource planning — a faithful transcription of the paper's

@@ -2,7 +2,9 @@
 
 use proptest::prelude::*;
 use raqo_resource::{
-    brute_force, hill_climb, CacheLookup, ClusterConditions, ResourceConfig, ResourcePlanCache,
+    brute_force, brute_force_batch, brute_force_parallel, brute_force_parallel_batch, hill_climb,
+    CacheLookup, ClusterConditions, Parallelism, PlanningOutcome, ResourceConfig,
+    ResourcePlanCache, BATCH_CHUNK,
 };
 
 proptest! {
@@ -96,5 +98,104 @@ proptest! {
         let hc = hill_climb(&cluster, cluster.min, cost);
         prop_assert!((bf.cost - hc.cost).abs() < 1e-9, "bf {} hc {}", bf.cost, hc.cost);
         prop_assert_eq!(bf.config, hc.config);
+    }
+}
+
+/// A deterministic cost surface over grid points. `kind` picks the shape:
+/// 0 one constant (every point ties), 1 all infeasible, 2 a quantized bowl
+/// (wide plateaus of exact ties), 3 a hashed choice among {1, 2, 3, +∞}
+/// (scattered ties and infeasible points), 4 the bowl with +∞ over a band
+/// of the first coordinate (contiguous infeasible runs in row-major order).
+fn surface(kind: u32, seed: u64, r: &ResourceConfig) -> f64 {
+    let mut h = seed ^ 0x9e37_79b9_7f4a_7c15;
+    for v in r.as_slice() {
+        h = (h ^ v.to_bits()).wrapping_mul(0x0000_0100_0000_01b3);
+        h ^= h >> 29;
+    }
+    let target = (seed % 7) as f64 * 0.4;
+    let bowl = || {
+        let d: f64 = r.as_slice().iter().map(|v| (v - target) * (v - target)).sum();
+        (d / 1.5).floor()
+    };
+    match kind {
+        0 => 2.5,
+        1 => f64::INFINITY,
+        2 => bowl(),
+        3 => [1.0, 2.0, 3.0, f64::INFINITY][(h % 4) as usize],
+        _ => {
+            let band = (seed % 5) as f64;
+            if r.get(0) >= band && r.get(0) <= band + 1.5 { f64::INFINITY } else { bowl() }
+        }
+    }
+}
+
+/// Grid lengths the scan must get right: a handful of points (about one
+/// argmin lane group) and runs around one and two scan chunks.
+fn target_len(class: u32, jitter: u64) -> u64 {
+    let around = match class {
+        0 => 4,
+        1 => BATCH_CHUNK as u64,
+        2 => 2 * BATCH_CHUNK as u64,
+        _ => 1000,
+    };
+    (around + jitter).saturating_sub(4).max(1)
+}
+
+const STEPS: [f64; 6] = [0.1, 0.25, 0.3, 0.7, 1.0, 2.0];
+const MINS: [f64; 4] = [0.0, 0.5, 1.0, 3.0];
+
+proptest! {
+    /// The batched grid scan — sequential and split over 1–5 workers, fed
+    /// by a batch evaluator or a per-point closure — picks exactly the
+    /// reference `brute_force` winner: same configuration bits, cost bits
+    /// and iteration count, on grids with fractional steps and on surfaces
+    /// made of plateaus, exact ties and runs of infeasible points.
+    #[test]
+    fn grid_scan_matches_reference_brute_force(
+        dims in 1usize..=3,
+        class in 0u32..4,
+        jitter in 0u64..9,
+        inner in 1u64..12,
+        step_pick in (0usize..6, 0usize..6, 0usize..6),
+        min_pick in (0usize..4, 0usize..4, 0usize..4),
+        kind in 0u32..5,
+        seed in 0u64..1_000_000,
+    ) {
+        // The last dimensions get `inner` points each; the first makes up
+        // the target length.
+        let target = target_len(class, jitter);
+        let inner = if dims == 1 { 1 } else { inner.min(target) };
+        let outer = target.div_ceil(inner.pow(dims as u32 - 1)).max(1);
+        let steps = [STEPS[step_pick.0], STEPS[step_pick.1], STEPS[step_pick.2]];
+        let mins = [MINS[min_pick.0], MINS[min_pick.1], MINS[min_pick.2]];
+        let counts = [outer, inner, inner];
+        let max: Vec<f64> =
+            (0..dims).map(|d| mins[d] + (counts[d] - 1) as f64 * steps[d]).collect();
+        let cluster = ClusterConditions::new(
+            ResourceConfig::from_slice(&mins[..dims]),
+            ResourceConfig::from_slice(&max),
+            ResourceConfig::from_slice(&steps[..dims]),
+        );
+        let cost = |r: &ResourceConfig| surface(kind, seed, r);
+        let reference = brute_force(&cluster, cost);
+        let bits = |o: &PlanningOutcome| {
+            let config: Vec<u64> = o.config.as_slice().iter().map(|v| v.to_bits()).collect();
+            (config, o.cost.to_bits(), o.iterations)
+        };
+        prop_assert_eq!(reference.iterations, cluster.grid_size());
+        let batch = |_: u64, configs: &[ResourceConfig], out: &mut [f64]| {
+            for (r, c) in configs.iter().zip(out.iter_mut()) {
+                *c = cost(r);
+            }
+        };
+        prop_assert_eq!(bits(&brute_force_batch(&cluster, batch)), bits(&reference));
+        let want = bits(&reference);
+        let modes = (1..=5).map(Parallelism::Threads).chain([Parallelism::Off]);
+        for par in modes {
+            let batched = brute_force_parallel_batch(&cluster, batch, par);
+            prop_assert_eq!(bits(&batched), want.clone(), "{:?} batched", par);
+            let per_point = brute_force_parallel(&cluster, cost, par);
+            prop_assert_eq!(bits(&per_point), want.clone(), "{:?} per point", par);
+        }
     }
 }
