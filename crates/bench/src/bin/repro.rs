@@ -1378,8 +1378,18 @@ fn main() {
         for p in &report.cascades.points {
             println!(
                 "cascades {:>6} n={:<2}  selinger {:>12.3} -> cascades {:>12.3}  \
-                 bushy: {:<5}  no worse: {}",
-                p.shape, p.tables, p.selinger_cost, p.cascades_cost, p.bushy, p.no_worse
+                 bushy: {:<5}  no worse: {:<5}  groups {} expressions {} tasks {} \
+                 plan-cost calls {}",
+                p.shape,
+                p.tables,
+                p.selinger_cost,
+                p.cascades_cost,
+                p.bushy,
+                p.no_worse,
+                p.groups,
+                p.expressions,
+                p.tasks,
+                p.plan_cost_calls
             );
         }
         let json = serde_json::to_string_pretty(&report).expect("report serializes");

@@ -29,7 +29,7 @@ use raqo_planner::RandomizedConfig;
 use raqo_resource::{
     brute_force, brute_force_batch, BudgetTracker, ClusterConditions, ResourceConfig,
 };
-use raqo_telemetry::Telemetry;
+use raqo_telemetry::{Counter, Telemetry};
 use serde::Serialize;
 
 /// One benchmark mode's measurements.
@@ -481,6 +481,14 @@ pub struct CascadesPoint {
     /// cascades_cost ≤ selinger_cost within fp tolerance — the memo
     /// search covers every left-deep order Selinger enumerates.
     pub no_worse: bool,
+    /// Logical groups the memo search materialized.
+    pub groups: u64,
+    /// Join expressions it materialized.
+    pub expressions: u64,
+    /// Tasks it popped off its stack.
+    pub tasks: u64,
+    /// `getPlanCost` calls of the Cascades run.
+    pub plan_cost_calls: u64,
 }
 
 /// Bushy-vs-left-deep series behind `repro --bench-json`: the Cascades
@@ -581,7 +589,7 @@ pub fn measure_cascades(quick: bool) -> CascadesSeries {
         let rels: Vec<_> = catalog.table_ids().collect();
         let tables = rels.len();
         let query = QuerySpec::new(format!("{shape}_{tables}"), rels);
-        let run = |kind: PlannerKind| {
+        let run = |kind: PlannerKind, tel: &Telemetry| {
             let mut opt = RaqoOptimizer::new(
                 catalog,
                 graph,
@@ -589,11 +597,18 @@ pub fn measure_cascades(quick: bool) -> CascadesSeries {
                 cluster,
                 kind,
                 ResourceStrategy::HillClimb,
-            );
+            )
+            .with_telemetry(tel.clone());
             timed(|| opt.optimize(&query).expect("plan"))
         };
-        let (sel, selinger_wall_ms) = run(PlannerKind::Selinger);
-        let (cas, cascades_wall_ms) = run(PlannerKind::cascades());
+        let untraced = Telemetry::disabled();
+        let (sel, selinger_wall_ms) = run(PlannerKind::Selinger, &untraced);
+        let (cas, cascades_wall_ms) = run(PlannerKind::cascades(), &untraced);
+        // The search size comes from a second, counted run, so the wall
+        // times above carry no telemetry.
+        let counted = Telemetry::enabled();
+        run(PlannerKind::cascades(), &counted);
+        let counters = counted.snapshot().expect("enabled telemetry has a registry");
         points.push(CascadesPoint {
             shape: (*shape).into(),
             tables,
@@ -603,6 +618,10 @@ pub fn measure_cascades(quick: bool) -> CascadesSeries {
             cascades_cost: cas.query.cost,
             bushy: !cas.query.tree.is_left_deep(),
             no_worse: cas.query.cost <= sel.query.cost * (1.0 + 1e-9),
+            groups: counters.get(Counter::CascadesGroups),
+            expressions: counters.get(Counter::CascadesExpressions),
+            tasks: counters.get(Counter::CascadesTasks),
+            plan_cost_calls: cas.stats.plan_cost_calls,
         });
     }
     let bushy_strict = |shape: &str| {

@@ -31,6 +31,13 @@
 //! whole groups are costed in one [`PlanCoster::join_cost_many`] batch
 //! when the coster prefers batches or thread parallelism is on.
 //!
+//! The search never turns a group mask back into a relation list. The
+//! admission test and every candidate's [`JoinIo`] come from a per-run
+//! [`MaskEstimator`], bit for bit the slice estimator's numbers; memo
+//! keys come from a per-run table of each relation's memo bit, so the
+//! keys, and the entries `cascades_memoized()` shares with Selinger, are
+//! unchanged. The mask-keyed sets hash with a one-multiply hasher.
+//!
 //! **Cross products** are admitted only when the estimated output stays
 //! under [`CascadesConfig::cross_rows_cap`] rows (the seed left-deep chain
 //! bypasses the cap so a complete plan always exists). That keeps the memo
@@ -46,9 +53,9 @@
 //!
 //! [`PlanningBudget`]: raqo_resource::PlanningBudget
 
-use crate::cardinality::{CardinalityEstimator, JoinIo};
-use crate::coster::{cost_tree_traced, PlanCoster, PlannedQuery};
-use crate::memo::{cost_tree_memo_traced, CostMemo};
+use crate::cardinality::{CardinalityEstimator, JoinIo, MaskEstimator};
+use crate::coster::{PlanCoster, PlannedQuery};
+use crate::memo::{cost_tree_memo_traced, CostMemo, MemoBits};
 use crate::plan::PlanTree;
 use raqo_catalog::{Catalog, JoinGraph, QuerySpec, TableId};
 use raqo_resource::Parallelism;
@@ -56,6 +63,7 @@ use raqo_telemetry::{Counter, Telemetry};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Hard cap: groups are u64 relation-set bitmasks.
 pub const CASCADES_MAX_RELATIONS: usize = 64;
@@ -143,6 +151,33 @@ pub struct CascadesOutcome {
 type GroupId = usize;
 type ExprId = usize;
 
+/// Hasher for relation-set masks: one multiply, with the high half folded
+/// into the low bits the table indexes by. The masks are the planner's
+/// own, never input from outside the program, so nothing can craft
+/// colliding keys.
+#[derive(Default)]
+struct MaskHasher(u64);
+
+impl Hasher for MaskHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(b.into());
+        }
+    }
+
+    fn write_u64(&mut self, mask: u64) {
+        let h = (self.0 ^ mask).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.0 = h ^ (h >> 32);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type MaskMap<V> = HashMap<u64, V, BuildHasherDefault<MaskHasher>>;
+type MaskSet = HashSet<u64, BuildHasherDefault<MaskHasher>>;
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Rule {
     /// A ⋈ B → B ⋈ A.
@@ -169,17 +204,14 @@ struct Best {
 #[derive(Debug)]
 struct Group {
     mask: u64,
-    /// Relations of `mask`, sorted (bit order over the query relation
-    /// list). Kept materialized because every costing and admission step
-    /// needs the slice.
-    rels: Vec<TableId>,
     /// Expressions rooted at this group, in insertion order (append-only,
     /// so [`Expr::assoc_seen`] cursors stay valid).
     exprs: Vec<ExprId>,
     /// Dedup of (left-mask, right-mask) pairs ever *proposed* for this
     /// group — including pairs the admission test rejected, so each pair
-    /// is examined at most once.
-    expr_set: HashSet<(u64, u64)>,
+    /// is examined at most once. Keyed by the left mask alone: the right
+    /// mask is `mask ^ left`.
+    expr_set: MaskSet,
     /// Expressions (in any group) whose *left* input is this group; when
     /// this group grows, their associativity bindings must be re-enumerated.
     parents_left: Vec<ExprId>,
@@ -206,21 +238,27 @@ struct Expr {
 /// and the task stack.
 struct Search<'q> {
     rels: &'q [TableId],
+    /// Sizes and edges of `rels`' subsets, by group mask.
+    est: MaskEstimator,
+    /// [`CascadesConfig::cross_rows_cap`].
+    cap: f64,
     groups: Vec<Group>,
     exprs: Vec<Expr>,
-    by_mask: HashMap<u64, GroupId>,
+    by_mask: MaskMap<GroupId>,
     parent: Vec<GroupId>,
     stack: Vec<Task>,
     tasks: u64,
 }
 
 impl<'q> Search<'q> {
-    fn new(rels: &'q [TableId]) -> Self {
+    fn new(rels: &'q [TableId], est: MaskEstimator, cap: f64) -> Self {
         Search {
             rels,
+            est,
+            cap,
             groups: Vec::new(),
             exprs: Vec::new(),
-            by_mask: HashMap::new(),
+            by_mask: MaskMap::default(),
             parent: Vec::new(),
             stack: Vec::new(),
             tasks: 0,
@@ -237,16 +275,6 @@ impl<'q> Search<'q> {
         g
     }
 
-    fn group_rels(&self, mask: u64) -> Vec<TableId> {
-        let mut rels = Vec::with_capacity(mask.count_ones() as usize);
-        let mut m = mask;
-        while m != 0 {
-            rels.push(self.rels[m.trailing_zeros() as usize]);
-            m &= m - 1;
-        }
-        rels
-    }
-
     fn group_of(&self, mask: u64) -> Option<GroupId> {
         self.by_mask.get(&mask).map(|&g| self.find(g))
     }
@@ -255,13 +283,11 @@ impl<'q> Search<'q> {
     /// (scans cost zero) and explored (no expressions to fire rules on).
     fn create_group(&mut self, mask: u64) -> GroupId {
         let id = self.groups.len();
-        let rels = self.group_rels(mask);
         let leaf = mask.count_ones() == 1;
         self.groups.push(Group {
             mask,
-            rels,
             exprs: Vec::new(),
-            expr_set: HashSet::new(),
+            expr_set: MaskSet::default(),
             parents_left: Vec::new(),
             explored: leaf,
             costed: leaf,
@@ -298,13 +324,13 @@ impl<'q> Search<'q> {
         let (win, lose) = if a < b { (a, b) } else { (b, a) };
         self.parent[lose] = win;
         let moved_exprs = std::mem::take(&mut self.groups[lose].exprs);
-        let moved_set: Vec<(u64, u64)> = self.groups[lose].expr_set.drain().collect();
+        let moved_set: Vec<u64> = self.groups[lose].expr_set.drain().collect();
         let moved_parents = std::mem::take(&mut self.groups[lose].parents_left);
         let lose_explored = self.groups[lose].explored;
         let lose_costed = self.groups[lose].costed;
         let lose_best = self.groups[lose].best.take();
-        for pair in moved_set {
-            self.groups[win].expr_set.insert(pair);
+        for left in moved_set {
+            self.groups[win].expr_set.insert(left);
         }
         for e in moved_exprs {
             self.exprs[e].group = win;
@@ -329,21 +355,12 @@ impl<'q> Search<'q> {
     /// Admission test for a candidate expression. Seeds always pass;
     /// otherwise the join must be edge-connected or a cross product whose
     /// estimated output fits under the cap.
-    fn admit(
-        &self,
-        l: GroupId,
-        r: GroupId,
-        seed: bool,
-        graph: &JoinGraph,
-        est: &CardinalityEstimator<'_>,
-        cap: f64,
-    ) -> bool {
+    fn admit(&self, l: GroupId, r: GroupId, seed: bool) -> bool {
         if seed {
             return true;
         }
-        let lrels = &self.groups[l].rels;
-        let rrels = &self.groups[r].rels;
-        graph.connects(lrels, rrels) || est.join_io(lrels, rrels).out_rows <= cap
+        let (lmask, rmask) = (self.groups[l].mask, self.groups[r].mask);
+        self.est.connects(lmask, rmask) || self.est.join_rows(lmask, rmask) <= self.cap
     }
 
     /// Insert `left ⋈ right` into group `g` unless the pair was already
@@ -351,26 +368,17 @@ impl<'q> Search<'q> {
     /// for the new expression, exploration of its children, and — the
     /// closure step — re-fires associativity on every expression whose
     /// left input is `g`, because their binding lists just grew.
-    fn insert_expr(
-        &mut self,
-        g: GroupId,
-        l: GroupId,
-        r: GroupId,
-        seed: bool,
-        graph: &JoinGraph,
-        est: &CardinalityEstimator<'_>,
-        cap: f64,
-    ) -> Option<ExprId> {
+    fn insert_expr(&mut self, g: GroupId, l: GroupId, r: GroupId, seed: bool) -> Option<ExprId> {
         let g = self.find(g);
         let l = self.find(l);
         let r = self.find(r);
         let (lmask, rmask) = (self.groups[l].mask, self.groups[r].mask);
         debug_assert_eq!(lmask & rmask, 0, "expression inputs must be disjoint");
         debug_assert_eq!(lmask | rmask, self.groups[g].mask, "inputs must cover the group");
-        if !self.groups[g].expr_set.insert((lmask, rmask)) {
+        if !self.groups[g].expr_set.insert(lmask) {
             return None;
         }
-        if !self.admit(l, r, seed, graph, est, cap) {
+        if !self.admit(l, r, seed) {
             return None;
         }
         let e = self.exprs.len();
@@ -410,32 +418,20 @@ impl<'q> Search<'q> {
         }
     }
 
-    fn apply_commute(
-        &mut self,
-        e: ExprId,
-        graph: &JoinGraph,
-        est: &CardinalityEstimator<'_>,
-        cap: f64,
-    ) {
+    fn apply_commute(&mut self, e: ExprId) {
         if self.exprs[e].commuted {
             return;
         }
         self.exprs[e].commuted = true;
         let Expr { group, left, right, .. } = self.exprs[e];
-        self.insert_expr(group, right, left, false, graph, est, cap);
+        self.insert_expr(group, right, left, false);
     }
 
     /// Enumerate the unseen associativity bindings of `e = (left ⋈ right)`:
     /// for each expression `left = (a ⋈ b)`, derive `a ⋈ (b ⋈ right)`.
     /// The cursor makes re-fires cheap; inserting into `left` mid-loop is
     /// fine because the expression list is append-only.
-    fn apply_assoc(
-        &mut self,
-        e: ExprId,
-        graph: &JoinGraph,
-        est: &CardinalityEstimator<'_>,
-        cap: f64,
-    ) {
+    fn apply_assoc(&mut self, e: ExprId) {
         loop {
             let left = self.find(self.exprs[e].left);
             let idx = self.exprs[e].assoc_seen;
@@ -454,19 +450,19 @@ impl<'q> Search<'q> {
             // litter the memo with empty groups.
             let br = match self.group_of(br_mask) {
                 Some(id) => {
-                    self.insert_expr(id, b, r, false, graph, est, cap);
+                    self.insert_expr(id, b, r, false);
                     Some(id)
                 }
-                None if self.admit(b, r, false, graph, est, cap) => {
+                None if self.admit(b, r, false) => {
                     let id = self.create_group(br_mask);
-                    self.insert_expr(id, b, r, false, graph, est, cap);
+                    self.insert_expr(id, b, r, false);
                     Some(id)
                 }
                 None => None,
             };
             if let Some(br) = br {
                 if !self.groups[self.find(br)].exprs.is_empty() {
-                    self.insert_expr(g, a, br, false, graph, est, cap);
+                    self.insert_expr(g, a, br, false);
                 }
             }
         }
@@ -474,18 +470,19 @@ impl<'q> Search<'q> {
 
     /// Cost a group: every deduplicated candidate expression goes through
     /// `getPlanCost` (one [`PlanCoster::join_cost_many`] batch when
-    /// batching is on), with the [`CostMemo`] probed first when supplied.
-    /// Re-queues itself behind exploration / child-costing tasks until the
-    /// group and all referenced child groups are ready.
+    /// batching is on), with the [`CostMemo`] probed first; `keys` maps the
+    /// group masks to the memo's keys. Re-queues itself behind exploration
+    /// / child-costing tasks until the group and all referenced child
+    /// groups are ready.
     #[allow(clippy::too_many_arguments)]
     fn optimize_group(
         &mut self,
         g: GroupId,
-        est: &CardinalityEstimator<'_>,
         coster: &mut dyn PlanCoster,
         parallelism: Parallelism,
         batch: bool,
-        mut memo: Option<&mut CostMemo>,
+        memo: &mut CostMemo,
+        keys: &MemoBits,
         stop: Option<&dyn Fn() -> bool>,
     ) {
         let g = self.find(g);
@@ -518,14 +515,15 @@ impl<'q> Search<'q> {
         // pair — `join_io` puts the smaller side on the build side, so a
         // mirrored expression is the same physical join; keeping the
         // first-inserted orientation means chain winners reproduce the
-        // seed left-deep orientation bit for bit.
+        // seed left-deep orientation bit for bit. The pair is keyed by its
+        // smaller mask: the other one is the group mask minus it.
         struct Cand {
             expr: ExprId,
-            l: GroupId,
-            r: GroupId,
+            lmask: u64,
+            rmask: u64,
             children: f64,
         }
-        let mut seen: HashSet<(u64, u64)> = HashSet::new();
+        let mut seen = MaskSet::default();
         let mut cands: Vec<Cand> = Vec::new();
         for i in 0..self.groups[g].exprs.len() {
             let e = self.groups[g].exprs[i];
@@ -535,25 +533,22 @@ impl<'q> Search<'q> {
                 // A child proved infeasible; this candidate can't be built.
                 continue;
             };
-            let (lm, rm) = (self.groups[l].mask, self.groups[r].mask);
-            let key = if lm < rm { (lm, rm) } else { (rm, lm) };
-            if !seen.insert(key) {
+            let (lmask, rmask) = (self.groups[l].mask, self.groups[r].mask);
+            if !seen.insert(lmask.min(rmask)) {
                 continue;
             }
-            cands.push(Cand { expr: e, l, r, children: lb.cost + rb.cost });
+            cands.push(Cand { expr: e, lmask, rmask, children: lb.cost + rb.cost });
         }
 
         let mut costs: Vec<Option<Option<f64>>> = vec![None; cands.len()];
         let mut ios: Vec<JoinIo> = Vec::new();
         let mut pending: Vec<usize> = Vec::new();
+        let memo_key = |c: &Cand| keys.key(c.lmask).zip(keys.key(c.rmask));
         for (i, c) in cands.iter().enumerate() {
-            let cached = memo
-                .as_deref_mut()
-                .and_then(|m| m.get(&self.groups[c.l].rels, &self.groups[c.r].rels));
-            match cached {
+            match memo_key(c).and_then(|(l, r)| memo.get_key(l, r)) {
                 Some(outcome) => costs[i] = Some(outcome.map(|(_, d)| d.cost)),
                 None => {
-                    ios.push(est.join_io(&self.groups[c.l].rels, &self.groups[c.r].rels));
+                    ios.push(self.est.join_io(c.lmask, c.rmask));
                     pending.push(i);
                 }
             }
@@ -570,22 +565,14 @@ impl<'q> Search<'q> {
             let poisoned = stop.is_some_and(|s| s());
             for (slot, outcome) in outcomes.into_iter().enumerate() {
                 let i = pending[slot];
-                if let Some(m) = memo.as_deref_mut() {
-                    if outcome.is_some() || !poisoned {
+                if outcome.is_some() || !poisoned {
+                    if let Some((l, r)) = memo_key(&cands[i]) {
                         // Record both orientations: join_io is
                         // side-symmetric, and extract may canonicalize the
                         // winner to the mirrored orientation — replay after
                         // a budget cut must hit either way.
-                        m.record(
-                            &self.groups[cands[i].l].rels,
-                            &self.groups[cands[i].r].rels,
-                            outcome.map(|d| (ios[slot], d)),
-                        );
-                        m.record(
-                            &self.groups[cands[i].r].rels,
-                            &self.groups[cands[i].l].rels,
-                            outcome.map(|d| (ios[slot], d)),
-                        );
+                        memo.record_key(l, r, outcome.map(|d| (ios[slot], d)));
+                        memo.record_key(r, l, outcome.map(|d| (ios[slot], d)));
                     }
                 }
                 costs[i] = Some(outcome.map(|d| d.cost));
@@ -609,8 +596,9 @@ impl<'q> Search<'q> {
     /// uncosted or infeasible.
     fn extract(&self, g: GroupId) -> Option<PlanTree> {
         let g = self.find(g);
-        if self.groups[g].mask.count_ones() == 1 {
-            return Some(PlanTree::leaf(self.groups[g].rels[0]));
+        let mask = self.groups[g].mask;
+        if mask.count_ones() == 1 {
+            return Some(PlanTree::leaf(self.rels[mask.trailing_zeros() as usize]));
         }
         let best = self.groups[g].best?;
         let e = best.expr?;
@@ -708,21 +696,16 @@ impl CascadesPlanner {
         // touching the (by then exhausted) coster. Replay-only within one
         // run — each candidate pair is costed at most once either way.
         let mut scratch = CostMemo::default();
-        let mut memo = Some(match memo {
+        let memo = match memo {
             Some(m) => m,
             None => &mut scratch,
-        });
-        if let Some(m) = memo.as_deref_mut() {
-            m.ensure_relations(&rels);
-        }
+        };
+        memo.ensure_relations(&rels);
         let est = CardinalityEstimator::new(catalog, graph);
         if n == 1 {
             let leaf = PlanTree::leaf(rels[0]);
-            let planned = match memo.as_deref_mut() {
-                Some(m) => cost_tree_memo_traced(&leaf, &est, coster, m, tel),
-                None => cost_tree_traced(&leaf, &est, coster, tel),
-            }
-            .ok_or(CascadesError::Infeasible)?;
+            let planned = cost_tree_memo_traced(&leaf, &est, coster, memo, tel)
+                .ok_or(CascadesError::Infeasible)?;
             return Ok(CascadesOutcome {
                 planned,
                 cut_short: false,
@@ -734,9 +717,9 @@ impl CascadesPlanner {
 
         let batch = (parallelism != Parallelism::Off && parallelism.workers() > 1)
             || coster.prefers_batch();
-        let cap = config.cross_rows_cap;
-
-        let mut search = Search::new(&rels);
+        let keys = memo.bits_of(&rels);
+        let mut search =
+            Search::new(&rels, MaskEstimator::new(catalog, graph, &rels), config.cross_rows_cap);
         let order = connected_order(&rels, graph);
         // Seed: a left-deep chain over the connected order. Seeds bypass
         // the cross-product cap, so a complete plan for the root group
@@ -747,7 +730,7 @@ impl CascadesPlanner {
             let leaf = search.ensure_group(bit(t));
             let g_mask = search.groups[prev].mask | search.groups[leaf].mask;
             let g = search.ensure_group(g_mask);
-            search.insert_expr(g, prev, leaf, true, graph, &est, cap);
+            search.insert_expr(g, prev, leaf, true);
             prev = g;
         }
         let root = prev;
@@ -756,24 +739,22 @@ impl CascadesPlanner {
         // costed at most once per run either way), but a budget cut at any
         // later task pop can then always re-materialize at least the seed
         // left-deep plan from recorded decisions — anytime behaviour.
-        if let Some(m) = memo.as_deref_mut() {
-            let mut prefix: Vec<TableId> = vec![order[0]];
-            for &t in &order[1..] {
-                let next = std::slice::from_ref(&t);
-                if m.get(&prefix, next).is_none() {
-                    let io = est.join_io(&prefix, next);
-                    let outcome = coster.join_cost(&io).map(|d| (io, d));
-                    let feasible = outcome.is_some();
-                    if feasible || !stop.is_some_and(|s| s()) {
-                        m.record(&prefix, next, outcome);
-                    }
-                    if !feasible {
-                        break;
-                    }
+        let mut prefix: Vec<TableId> = vec![order[0]];
+        for &t in &order[1..] {
+            let next = std::slice::from_ref(&t);
+            if memo.get(&prefix, next).is_none() {
+                let io = est.join_io(&prefix, next);
+                let outcome = coster.join_cost(&io).map(|d| (io, d));
+                let feasible = outcome.is_some();
+                if feasible || !stop.is_some_and(|s| s()) {
+                    memo.record(&prefix, next, outcome);
                 }
-                prefix.push(t);
-                prefix.sort_unstable();
+                if !feasible {
+                    break;
+                }
             }
+            prefix.push(t);
+            prefix.sort_unstable();
         }
         // The root's optimize task must sit at the *bottom* of the stack:
         // its re-entries then always re-queue below the exploration tasks,
@@ -791,15 +772,7 @@ impl CascadesPlanner {
             match task {
                 Task::OptimizeGroup(g) => {
                     let _span = tel.span("cascades.task.optimize_group");
-                    search.optimize_group(
-                        g,
-                        &est,
-                        coster,
-                        parallelism,
-                        batch,
-                        memo.as_deref_mut(),
-                        stop,
-                    );
+                    search.optimize_group(g, coster, parallelism, batch, memo, &keys, stop);
                 }
                 Task::ExploreGroup(g) => {
                     let _span = tel.span("cascades.task.explore_group");
@@ -808,8 +781,8 @@ impl CascadesPlanner {
                 Task::ApplyRule { expr, rule } => {
                     let _span = tel.span("cascades.task.apply_rule");
                     match rule {
-                        Rule::Commute => search.apply_commute(expr, graph, &est, cap),
-                        Rule::AssocLeft => search.apply_assoc(expr, graph, &est, cap),
+                        Rule::Commute => search.apply_commute(expr),
+                        Rule::AssocLeft => search.apply_assoc(expr),
                     }
                 }
             }
@@ -828,11 +801,8 @@ impl CascadesPlanner {
             None => return Err(CascadesError::Infeasible),
         };
         let _final_span = tel.span("cascades.final_cost");
-        let planned = match memo.as_deref_mut() {
-            Some(m) => cost_tree_memo_traced(&tree, &est, coster, m, tel),
-            None => cost_tree_traced(&tree, &est, coster, tel),
-        }
-        .ok_or(CascadesError::Infeasible)?;
+        let planned = cost_tree_memo_traced(&tree, &est, coster, memo, tel)
+            .ok_or(CascadesError::Infeasible)?;
         Ok(CascadesOutcome {
             planned,
             cut_short: cut,
@@ -1261,8 +1231,8 @@ mod tests {
     fn disjoint_set_merge_moves_expressions_and_keeps_dedup() {
         let s = RandomSchema::chain(3, 1);
         let rels: Vec<TableId> = s.catalog.table_ids().collect();
-        let est = CardinalityEstimator::new(&s.catalog, &s.graph);
-        let mut search = Search::new(&rels);
+        let est = MaskEstimator::new(&s.catalog, &s.graph, &rels);
+        let mut search = Search::new(&rels, est, f64::INFINITY);
         let a = search.ensure_group(0b001);
         let b = search.ensure_group(0b010);
         let c = search.ensure_group(0b100);
@@ -1270,14 +1240,13 @@ mod tests {
         // merge scenario mask-keying normally prevents).
         let g1 = search.create_group(0b111);
         let ab = search.ensure_group(0b011);
-        search.insert_expr(ab, a, b, true, &s.graph, &est, f64::INFINITY);
-        search.insert_expr(g1, ab, c, true, &s.graph, &est, f64::INFINITY);
+        search.insert_expr(ab, a, b, true);
+        search.insert_expr(g1, ab, c, true);
         let g2 = search.groups.len();
         search.groups.push(Group {
             mask: 0b111,
-            rels: search.group_rels(0b111),
             exprs: Vec::new(),
-            expr_set: HashSet::new(),
+            expr_set: MaskSet::default(),
             parents_left: Vec::new(),
             explored: false,
             costed: false,
@@ -1285,10 +1254,10 @@ mod tests {
         });
         search.parent.push(g2);
         let bc = search.ensure_group(0b110);
-        search.insert_expr(bc, b, c, true, &s.graph, &est, f64::INFINITY);
-        search.insert_expr(g2, a, bc, true, &s.graph, &est, f64::INFINITY);
+        search.insert_expr(bc, b, c, true);
+        search.insert_expr(g2, a, bc, true);
         // Duplicate of g1's expression, to prove merge dedups.
-        search.insert_expr(g2, ab, c, true, &s.graph, &est, f64::INFINITY);
+        search.insert_expr(g2, ab, c, true);
 
         let win = search.merge(g1, g2);
         assert_eq!(search.find(g1), win);

@@ -38,7 +38,7 @@ pub mod plan;
 pub mod randomized;
 pub mod selinger;
 
-pub use cardinality::{CardinalityEstimator, JoinIo};
+pub use cardinality::{CardinalityEstimator, JoinIo, MaskEstimator};
 pub use cascades::{
     CascadesConfig, CascadesError, CascadesOutcome, CascadesPlanner,
     DEFAULT_CASCADES_THRESHOLD,

@@ -24,7 +24,7 @@
 //! [`crate::RandomizedConfig::memoize`]). Queries with more than
 //! [`CostMemo::MAX_RELATIONS`] relations silently bypass the memo.
 
-use crate::cardinality::{CardinalityEstimator, JoinIo};
+use crate::cardinality::{bits, CardinalityEstimator, JoinIo};
 use crate::coster::{JoinDecision, PlanCoster, PlannedJoin, PlannedQuery};
 use crate::plan::PlanTree;
 use raqo_catalog::TableId;
@@ -257,6 +257,11 @@ impl CostMemo {
         rrels: &[TableId],
     ) -> Option<Option<(JoinIo, JoinDecision)>> {
         let (l, r) = self.key_of(lrels).zip(self.key_of(rrels))?;
+        self.get_key(l, r)
+    }
+
+    /// [`CostMemo::get`] by the keys of the two sides.
+    pub(crate) fn get_key(&mut self, l: u128, r: u128) -> Option<Option<(JoinIo, JoinDecision)>> {
         match self.entries.get(&(l, r, self.context)) {
             Some(cached) => {
                 self.hits += 1;
@@ -280,8 +285,32 @@ impl CostMemo {
         outcome: Option<(JoinIo, JoinDecision)>,
     ) {
         if let Some((l, r)) = self.key_of(lrels).zip(self.key_of(rrels)) {
-            self.entries.insert((l, r, self.context), outcome);
+            self.record_key(l, r, outcome);
         }
+    }
+
+    /// [`CostMemo::record`] by the keys of the two sides.
+    pub(crate) fn record_key(&mut self, l: u128, r: u128, outcome: Option<(JoinIo, JoinDecision)>) {
+        self.entries.insert((l, r, self.context), outcome);
+    }
+
+    /// The memo bit of each of `rels`, for keying relation-set masks over
+    /// `rels` (bit `i` = `rels[i]`) without a map lookup per relation.
+    pub(crate) fn bits_of(&self, rels: &[TableId]) -> MemoBits {
+        MemoBits(rels.iter().map(|t| self.index.get(t).map(|&b| 1u128 << b)).collect())
+    }
+}
+
+/// One planner run's map from its local relation bits to a [`CostMemo`]'s
+/// bits (see [`CostMemo::bits_of`]).
+pub(crate) struct MemoBits(Vec<Option<u128>>);
+
+impl MemoBits {
+    /// The memo key of a local relation-set mask: what `CostMemo::key_of`
+    /// returns for its relations, `None` when one of them bypasses the
+    /// memo.
+    pub(crate) fn key(&self, mask: u64) -> Option<u128> {
+        bits(mask).try_fold(0u128, |key, i| Some(key | self.0[i]?))
     }
 }
 

@@ -1,15 +1,66 @@
 //! Property tests for the planner layer.
 
 use proptest::prelude::*;
-use raqo_catalog::{QuerySpec, RandomSchemaConfig};
+use raqo_catalog::{Catalog, JoinGraph, QuerySpec, RandomSchemaConfig, TableId, TableStats};
 use raqo_cost::SimOracleCost;
 use raqo_planner::coster::{cost_tree, FixedResourceCoster};
 use raqo_planner::{
-    CardinalityEstimator, CostMemo, DpFill, IdpConfig, IdpPlanner, PlanTree, RandomizedConfig,
-    RandomizedPlanner, SelingerPlanner,
+    CardinalityEstimator, CostMemo, DpFill, IdpConfig, IdpPlanner, MaskEstimator, PlanTree,
+    RandomizedConfig, RandomizedPlanner, SelingerPlanner,
 };
 use raqo_resource::Parallelism;
 use raqo_telemetry::Telemetry;
+
+/// The relations of `mask` (bit `i` = `rels[i]`) in ascending bit order.
+fn rels_of(rels: &[TableId], mask: u64) -> Vec<TableId> {
+    (0..rels.len()).filter(|&i| mask >> i & 1 == 1).map(|i| rels[i]).collect()
+}
+
+/// `(build, probe, out GB, out rows, join_rows, connects)` of `left ⋈
+/// right` from the mask estimator, then from the slice estimator and the
+/// join graph over the same sets listed in ascending bit order. Floats as
+/// bit patterns: the two must agree exactly.
+type Estimates = (u64, u64, u64, u64, u64, bool);
+
+fn mask_vs_slices(
+    catalog: &Catalog,
+    graph: &JoinGraph,
+    rels: &[TableId],
+    left: u64,
+    right: u64,
+) -> (Estimates, Estimates) {
+    let masks = MaskEstimator::new(catalog, graph, rels);
+    let io = masks.join_io(left, right);
+    let got = (
+        io.build_gb.to_bits(),
+        io.probe_gb.to_bits(),
+        io.out_gb.to_bits(),
+        io.out_rows.to_bits(),
+        masks.join_rows(left, right).to_bits(),
+        masks.connects(left, right),
+    );
+    let (l, r) = (rels_of(rels, left), rels_of(rels, right));
+    let io = CardinalityEstimator::new(catalog, graph).join_io(&l, &r);
+    let want = (
+        io.build_gb.to_bits(),
+        io.probe_gb.to_bits(),
+        io.out_gb.to_bits(),
+        io.out_rows.to_bits(),
+        io.out_rows.to_bits(),
+        graph.connects(&l, &r),
+    );
+    (got, want)
+}
+
+/// Two disjoint, non-empty masks over `n` relations drawn from `a` and
+/// `b`: bit 0 always goes left and bit 1 right, every other bit left, right
+/// or neither.
+fn split(n: usize, a: u64, b: u64) -> (u64, u64) {
+    let full = u64::MAX >> (64 - n);
+    let left = (a | 1) & !2 & full;
+    let right = ((b & !left) | 2) & full;
+    (left, right)
+}
 
 proptest! {
     /// Plan cost is the sum of its join decisions' costs, for arbitrary
@@ -284,4 +335,111 @@ proptest! {
             selinger.cost
         );
     }
+
+    /// The mask estimator is bit for bit the slice estimator and
+    /// `JoinGraph::connects` on chain, star and clique schemas, for random
+    /// disjoint sides in both orientations.
+    #[test]
+    fn mask_estimator_matches_slices_on_shapes(
+        shape in 0usize..3,
+        n in 2usize..13,
+        seed in 0u64..1000,
+        a in 0u64..=u64::MAX,
+        b in 0u64..=u64::MAX,
+    ) {
+        let schema = match shape {
+            0 => raqo_catalog::RandomSchema::chain(n, seed),
+            1 => raqo_catalog::RandomSchema::star(n, seed),
+            _ => raqo_catalog::RandomSchema::clique(n, seed),
+        };
+        let rels: Vec<_> = schema.catalog.table_ids().collect();
+        let (left, right) = split(n, a, b);
+        for (l, r) in [(left, right), (right, left)] {
+            let (got, want) = mask_vs_slices(&schema.catalog, &schema.graph, &rels, l, r);
+            prop_assert_eq!(got, want);
+        }
+    }
+
+    /// Same on random connected walks over a 100-table schema, whose join
+    /// graph holds many edges outside each query; the walk lists its
+    /// relations unsorted.
+    #[test]
+    fn mask_estimator_matches_slices_on_walks(
+        seed in 0u64..200,
+        k in 2usize..13,
+        a in 0u64..=u64::MAX,
+        b in 0u64..=u64::MAX,
+    ) {
+        let schema = RandomSchemaConfig::with_tables(100, seed).generate();
+        let q = QuerySpec::random_connected(&schema.catalog, &schema.graph, k, seed ^ a);
+        let (left, right) = split(k, a, b);
+        for (l, r) in [(left, right), (right, left)] {
+            let (got, want) =
+                mask_vs_slices(&schema.catalog, &schema.graph, &q.relations, l, r);
+            prop_assert_eq!(got, want);
+        }
+    }
+
+    /// Same with a 64-relation query whose last relation sits on bit 63,
+    /// always on one of the two sides.
+    #[test]
+    fn mask_estimator_matches_slices_at_bit_63(
+        seed in 0u64..50,
+        a in 0u64..=u64::MAX,
+        b in 0u64..=u64::MAX,
+        bit_63_left in any_bool,
+    ) {
+        let schema = RandomSchemaConfig::with_tables(64, seed).generate();
+        let rels: Vec<_> = schema.catalog.table_ids().collect();
+        let (mut left, mut right) = split(64, a, b);
+        let top = 1u64 << 63;
+        if bit_63_left {
+            (left, right) = (left | top, right & !top);
+        } else {
+            (left, right) = (left & !top, right | top);
+        }
+        for (l, r) in [(left, right), (right, left), (top, 1), (1, top)] {
+            let (got, want) = mask_vs_slices(&schema.catalog, &schema.graph, &rels, l, r);
+            prop_assert_eq!(got, want);
+        }
+    }
+}
+
+/// Every pair of disjoint, non-empty sides of an unsorted five-relation
+/// query whose graph has parallel edges, edges leaving the query, and an
+/// edge with neither endpoint in it: the mask estimator agrees bit for bit
+/// with the slice estimator and `JoinGraph::connects`, one-relation sides
+/// included.
+#[test]
+fn mask_estimator_matches_slices_with_parallel_and_outside_edges() {
+    let mut catalog = Catalog::new();
+    let t: Vec<TableId> = (0..8)
+        .map(|i| {
+            let stats = TableStats::new(1_000.0 * (i as f64 + 1.5).powi(3), 40.0 + 13.0 * i as f64);
+            catalog.add_stats_only(format!("t{i}"), stats)
+        })
+        .collect();
+    let mut graph = JoinGraph::new();
+    graph.add_edge(t[0], t[1], 0.01);
+    graph.add_edge(t[1], t[0], 0.3);
+    graph.add_edge(t[1], t[2], 1e-4);
+    graph.add_edge(t[2], t[5], 0.02);
+    graph.add_edge(t[6], t[0], 0.5);
+    graph.add_edge(t[3], t[4], 1.0 / 7.0);
+    graph.add_edge(t[7], t[6], 0.9);
+    graph.add_edge(t[0], t[1], 0.7);
+    let rels = [t[4], t[0], t[2], t[1], t[3]];
+    let full = (1u64 << rels.len()) - 1;
+    let mut pairs = 0;
+    for left in 1..=full {
+        let rest = full & !left;
+        let mut right = rest;
+        while right != 0 {
+            let (got, want) = mask_vs_slices(&catalog, &graph, &rels, left, right);
+            assert_eq!(got, want, "left {left:#b}, right {right:#b}");
+            pairs += 1;
+            right = (right - 1) & rest;
+        }
+    }
+    assert_eq!(pairs, 3usize.pow(5) - 2 * 2usize.pow(5) + 1);
 }
