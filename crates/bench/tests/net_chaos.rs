@@ -20,9 +20,11 @@ use raqo_core::{
 };
 use raqo_cost::JoinCostModel;
 use raqo_faults::{Fault, FaultGuard, FaultKind};
-use raqo_net::{ClientConfig, NetConfig, NetError, PlanClient, PlanServer};
+use raqo_net::{ClientConfig, NetConfig, NetError, PlanClient, PlanServer, RequestFrame};
 use raqo_resource::{CacheLookup, ClusterConditions, ShardedCacheBank};
 use raqo_telemetry::Counter;
+use std::io::Write;
+use std::net::TcpStream;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -296,7 +298,6 @@ fn soak_survives_one_in_eight_faulted_frames_with_zero_leaks() {
             max_connections: 64,
             dispatchers: 4,
             dispatch_capacity: 256,
-            poll_interval: Duration::from_micros(500),
             ..NetConfig::default()
         },
         4,
@@ -391,4 +392,100 @@ fn soak_survives_one_in_eight_faulted_frames_with_zero_leaks() {
         );
         std::thread::sleep(Duration::from_millis(50));
     }
+}
+
+/// Spin until `cond` holds or five seconds elapse.
+fn wait_until(mut cond: impl FnMut() -> bool) -> bool {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while !cond() {
+        if Instant::now() >= deadline {
+            return false;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    true
+}
+
+/// A dispatcher already waiting on a slow ticket must not hold shutdown
+/// past `drain_timeout`: once the drain gives up, the dispatcher abandons
+/// the wait and answers nothing — the connection closes with the server.
+#[test]
+fn shutdown_abandons_a_slow_ticket_once_the_drain_times_out() {
+    let _serial = lock();
+    let guard = FaultGuard::new();
+    let (server, service, tel) = start_stack(
+        NetConfig { drain_timeout: Duration::from_millis(200), ..NetConfig::default() },
+        1,
+    );
+    // Every cost call stalls 300 ms, so the one plan outlasts both the
+    // drain timeout and the shutdown bound asserted below.
+    raqo_faults::arm(Fault::repeating(
+        "core.plan_cost",
+        FaultKind::Delay(Duration::from_millis(300)),
+    ));
+    let mut peer = TcpStream::connect(server.local_addr()).expect("chaos: connect");
+    let request = RequestFrame {
+        request_id: 1,
+        priority: Priority::Standard,
+        namespace: 0,
+        deadline_ms: 0,
+        query: QuerySpec::tpch_q3(),
+    };
+    peer.write_all(&request.encode()).expect("chaos: send");
+    assert!(wait_until(|| server.in_flight() == 1), "the request never went in flight");
+
+    let start = Instant::now();
+    server.shutdown();
+    let took = start.elapsed();
+    // Lift the stalls before the service drains its worker.
+    drop(guard);
+    drop(peer);
+    drop(service);
+    assert!(
+        took < Duration::from_secs(1),
+        "shutdown waited {took:?} on a ticket past its 200 ms drain timeout"
+    );
+    assert_connections_balanced(&tel);
+}
+
+/// An idle server sleeps in the kernel: one silent connection draws no
+/// reads. And every shutdown lands on its wake rather than on the next
+/// idle-reaper deadline, even when it races an accept.
+#[test]
+fn an_idle_server_does_no_work_and_shuts_down_at_once() {
+    let _serial = lock();
+    let _guard = FaultGuard::new();
+    let tel = Telemetry::enabled();
+    let service = start_service(1, &tel);
+    // Never fires; armed only so `probes_seen` counts `net.read` probes,
+    // one per serve of a connection the loop believes readable.
+    raqo_faults::arm(Fault::at("net.read", FaultKind::Fail, u64::MAX));
+
+    let net = NetConfig::default();
+    let server = PlanServer::bind("127.0.0.1:0", net.clone(), service.clone(), tel.clone())
+        .expect("chaos: bind");
+    let silent = TcpStream::connect(server.local_addr()).expect("chaos: connect");
+    assert!(wait_until(|| server.live_connections() == 1), "the silent peer was never accepted");
+    let before = raqo_faults::probes_seen("net.read");
+    std::thread::sleep(Duration::from_millis(200));
+    let reads = raqo_faults::probes_seen("net.read") - before;
+    assert!(reads <= 2, "an idle server served a silent connection {reads} times in 200 ms");
+    drop(silent);
+    server.shutdown();
+
+    for cycle in 0..100 {
+        let server = PlanServer::bind("127.0.0.1:0", net.clone(), service.clone(), tel.clone())
+            .expect("chaos: bind");
+        let _peer = TcpStream::connect(server.local_addr()).expect("chaos: connect");
+        let start = Instant::now();
+        server.shutdown();
+        let took = start.elapsed();
+        assert!(
+            took < Duration::from_secs(1),
+            "cycle {cycle}: shutdown took {took:?} (idle timeout {:?})",
+            net.idle_timeout
+        );
+    }
+    drop(service);
+    assert_connections_balanced(&tel);
 }

@@ -223,10 +223,18 @@ impl PlanTicket {
     /// server's reply path leans on this so one stuck ticket cannot wedge
     /// a whole connection.
     pub fn wait_timeout(self, timeout: Duration) -> Result<ServiceReply, WaitTimeout> {
+        self.wait_for(timeout).ok_or(WaitTimeout)
+    }
+
+    /// Like [`wait_timeout`](Self::wait_timeout) but keeps the ticket, so
+    /// a caller can wait in bounded slices and check its own stop signal
+    /// between them. `None` means `timeout` passed with no reply; once a
+    /// reply has been returned the ticket is spent.
+    pub fn wait_for(&self, timeout: Duration) -> Option<ServiceReply> {
         match self.rx.recv_timeout(timeout) {
-            Ok(reply) => Ok(reply),
-            Err(mpsc::RecvTimeoutError::Timeout) => Err(WaitTimeout),
-            Err(mpsc::RecvTimeoutError::Disconnected) => Ok(ServiceReply::lost_worker()),
+            Ok(reply) => Some(reply),
+            Err(mpsc::RecvTimeoutError::Timeout) => None,
+            Err(mpsc::RecvTimeoutError::Disconnected) => Some(ServiceReply::lost_worker()),
         }
     }
 }

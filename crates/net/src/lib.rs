@@ -3,10 +3,11 @@
 //! The paper's optimizer is a library call and [`raqo_core::PlanningService`]
 //! turns it into an in-process service; this crate puts that service on the
 //! network without giving up any of its robustness guarantees. Everything is
-//! std-only (no async runtime, no protobuf): a nonblocking poll-style event
-//! loop over plain `TcpListener`/`TcpStream`, a versioned length-prefixed
-//! frame protocol ([`frame`]), and a bounded handoff into the planning
-//! service's admission queue.
+//! std-only (no async runtime, no protobuf): a readiness event loop that
+//! waits in libc's `poll(2)` — the crate's one foreign call, so it builds on
+//! unix targets only — over plain `TcpListener`/`TcpStream`, a versioned
+//! length-prefixed frame protocol ([`frame`]), and a bounded handoff into
+//! the planning service's admission queue.
 //!
 //! Design invariants, each enforced by the chaos suite in
 //! `crates/bench/tests/net_chaos.rs`:
@@ -30,6 +31,9 @@
 //!   seeded-jitter exponential backoff under the *same* request id, and the
 //!   server's reply ring deduplicates ids it has already answered, so a
 //!   retry of a delivered reply costs no second planning run.
+
+#[cfg(not(unix))]
+compile_error!("raqo-net waits in poll(2) and builds on unix targets only");
 
 pub mod client;
 pub mod frame;

@@ -2,14 +2,17 @@
 //!
 //! One event-loop thread owns the listener and every connection,
 //! nonblocking throughout — accept, read, frame decode, write and the idle
-//! reaper all run in a single poll-style loop, so no peer can block another
-//! by stalling. Decoded requests hand off through a bounded
-//! [`AdmissionQueue`] to a small pool of dispatcher threads; each
-//! dispatcher submits to the in-process [`PlanningService`], waits on the
-//! ticket *with a timeout*, encodes the reply, and posts it back to the
-//! event loop for writing. The dispatch queue is the backpressure point:
-//! when it is full the event loop answers `Overloaded` immediately instead
-//! of buffering without bound.
+//! reaper all run in a single readiness loop, so no peer can block another
+//! by stalling. The loop sleeps in `poll(2)` until the listener, a
+//! connection or the dispatchers' wake channel is ready, or the earliest
+//! reaper / drain deadline passes, and then serves only what is ready: an
+//! idle server makes no system calls at all. Decoded requests hand off
+//! through a bounded [`AdmissionQueue`] to a small pool of dispatcher
+//! threads; each dispatcher submits to the in-process [`PlanningService`],
+//! waits on the ticket *with a timeout*, encodes the reply, posts it back
+//! to the event loop and wakes it for writing. The dispatch queue is the
+//! backpressure point: when it is full the event loop answers `Overloaded`
+//! immediately instead of buffering without bound.
 //!
 //! Robustness decisions worth naming:
 //!
@@ -26,12 +29,15 @@
 //!   the ring without re-planning, while an unrelated client that happens
 //!   to reuse an id never sees another request's reply. Error replies are
 //!   never cached: a retry after `WaitTimeout` deserves a fresh attempt.
+//!   The ring shares each reply's encoded bytes with the connection write;
+//!   nothing is copied per reply.
 //! * **Graceful drain.** Shutdown stops accepting, answers `Draining` to
 //!   new requests, lets in-flight work finish (bounded by
-//!   [`NetConfig::drain_timeout`]) — past that bound even queued work is
-//!   discarded, so drain can never overrun its timeout by a ticket wait —
-//!   flushes the cache-bank checkpoint so a restarted server plans warm,
-//!   then closes every connection and joins the dispatchers.
+//!   [`NetConfig::drain_timeout`]) — past that bound queued work is
+//!   discarded and a dispatcher still waiting on a ticket abandons it, so
+//!   drain can never overrun its timeout by a ticket wait — flushes the
+//!   cache-bank checkpoint so a restarted server plans warm, then closes
+//!   every connection and joins the dispatchers.
 //! * **The reaper spares working connections, not half-open ones.** Idle
 //!   is "no in-flight request and no socket activity" for
 //!   [`NetConfig::idle_timeout`]; a connection waiting on a slow plan is
@@ -50,17 +56,20 @@ use crate::frame::{
     FLAG_SHED,
 };
 use crate::probes;
-use raqo_core::service::{PlanRequest, PlanningService};
+use raqo_core::service::{PlanRequest, PlanTicket, PlanningService, ServiceReply, WaitTimeout};
 use raqo_sim::AdmissionQueue;
 use raqo_telemetry::{Counter, Telemetry};
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::os::unix::io::AsRawFd;
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// Wire front-end knobs.
+/// Wire front-end knobs. The event loop has no cadence to tune: it waits
+/// on socket readiness and the reaper / drain deadlines below.
 #[derive(Debug, Clone)]
 pub struct NetConfig {
     /// Live connections before accept-time shedding (`conn_cap`).
@@ -78,12 +87,11 @@ pub struct NetConfig {
     /// Reap connections with no activity and no in-flight work after this.
     pub idle_timeout: Duration,
     /// Cap on waiting for a planning ticket before a `WaitTimeout` error
-    /// frame — one wedged ticket must not hold a dispatcher forever.
+    /// frame — one wedged ticket must not hold a dispatcher forever. A
+    /// shutdown past its drain ends the wait early and answers nothing.
     pub ticket_timeout: Duration,
     /// Recently answered request ids kept for retry dedup.
     pub reply_ring: usize,
-    /// Event-loop poll cadence.
-    pub poll_interval: Duration,
     /// Bound on waiting for in-flight work during graceful drain.
     pub drain_timeout: Duration,
 }
@@ -99,11 +107,14 @@ impl Default for NetConfig {
             idle_timeout: Duration::from_secs(30),
             ticket_timeout: Duration::from_secs(30),
             reply_ring: 128,
-            poll_interval: Duration::from_millis(1),
             drain_timeout: Duration::from_secs(5),
         }
     }
 }
+
+/// How often a dispatcher waiting on a ticket looks at `dispatch_stop`:
+/// the most a shutdown past its drain can wait on an abandoned ticket.
+const STOP_CHECK: Duration = Duration::from_millis(10);
 
 /// A decoded request waiting for a dispatcher.
 struct DispatchJob {
@@ -121,7 +132,8 @@ struct Completion {
     request_id: u64,
     /// The request's content fingerprint, keyed into the reply ring.
     fingerprint: u64,
-    bytes: Vec<u8>,
+    /// Shared by the connection write and the reply ring.
+    bytes: Arc<[u8]>,
     /// Only successful replies enter the dedup ring; errors (WaitTimeout)
     /// must not be replayed to a retry that deserves a fresh attempt.
     cacheable: bool,
@@ -142,6 +154,23 @@ struct NetShared {
     /// not yet consumed — the drain barrier.
     in_flight: AtomicUsize,
     live_connections: AtomicUsize,
+    /// Write end of the event loop's wake channel.
+    wake_tx: UnixStream,
+    /// True while a wake byte is in flight; coalesces a burst of wakes
+    /// into one byte.
+    wake_pending: AtomicBool,
+}
+
+impl NetShared {
+    /// Wake the event loop out of `poll`. Call *after* publishing the
+    /// state change (a completion, `stop`) the loop should see.
+    fn wake(&self) {
+        if !self.wake_pending.swap(true, Ordering::AcqRel) {
+            // Nonblocking; at most a couple of bytes are ever unread, so
+            // the write cannot find the buffer full.
+            let _ = (&self.wake_tx).write(&[1]);
+        }
+    }
 }
 
 fn lock<'m, T>(m: &'m Mutex<T>) -> std::sync::MutexGuard<'m, T> {
@@ -172,6 +201,9 @@ impl PlanServer {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
+        let (wake_rx, wake_tx) = UnixStream::pair()?;
+        wake_rx.set_nonblocking(true)?;
+        wake_tx.set_nonblocking(true)?;
         let classes = raqo_core::Priority::ALL.len();
         let shared = Arc::new(NetShared {
             service,
@@ -186,6 +218,8 @@ impl PlanServer {
             in_flight: AtomicUsize::new(0),
             live_connections: AtomicUsize::new(0),
             stop: AtomicBool::new(false),
+            wake_tx,
+            wake_pending: AtomicBool::new(false),
             config,
         });
         let mut dispatchers = Vec::new();
@@ -195,7 +229,7 @@ impl PlanServer {
         }
         let event = {
             let shared = Arc::clone(&shared);
-            std::thread::spawn(move || event_loop(&shared, listener))
+            std::thread::spawn(move || event_loop(&shared, listener, wake_rx))
         };
         Ok(PlanServer { shared, local_addr, event: Some(event), dispatchers })
     }
@@ -222,6 +256,7 @@ impl PlanServer {
 
     fn stop_and_join(&mut self) {
         self.shared.stop.store(true, Ordering::Release);
+        self.shared.wake();
         if let Some(event) = self.event.take() {
             let _ = event.join();
         }
@@ -241,6 +276,59 @@ impl Drop for PlanServer {
     }
 }
 
+// ---- poll(2) -----------------------------------------------------------
+
+/// The crate's one foreign call: libc's `poll(2)`, which std already links.
+mod sys {
+    use std::os::raw::{c_int, c_short};
+    use std::time::Duration;
+
+    pub const POLLIN: c_short = 0x001;
+    pub const POLLOUT: c_short = 0x004;
+
+    /// `struct pollfd`.
+    #[repr(C)]
+    pub struct PollFd {
+        pub fd: c_int,
+        pub events: c_short,
+        pub revents: c_short,
+    }
+
+    #[cfg(target_os = "linux")]
+    type Nfds = std::os::raw::c_ulong;
+    #[cfg(not(target_os = "linux"))]
+    type Nfds = std::os::raw::c_uint;
+
+    extern "C" {
+        fn poll(fds: *mut PollFd, nfds: Nfds, timeout: c_int) -> c_int;
+    }
+
+    /// Block until an entry of `fds` is ready or `timeout` passes (`None`
+    /// waits indefinitely), filling every `revents`. A signal interrupting
+    /// the wait counts as a timeout.
+    pub fn wait(fds: &mut [PollFd], timeout: Option<Duration>) -> std::io::Result<()> {
+        // Round up: a deadline under a millisecond away must not become a
+        // zero timeout that spins until it passes.
+        let timeout_ms = timeout
+            .map_or(-1, |t| t.as_micros().div_ceil(1000).min(c_int::MAX as u128) as c_int);
+        // SAFETY: `fds` is an exclusively borrowed slice of `#[repr(C)]`
+        // `struct pollfd` values and `nfds` is its exact length, so the
+        // kernel reads and writes only inside it. A descriptor that is not
+        // open is reported as POLLNVAL, not undefined behaviour.
+        let ready = unsafe { poll(fds.as_mut_ptr(), fds.len() as Nfds, timeout_ms) };
+        if ready < 0 {
+            let err = std::io::Error::last_os_error();
+            if err.kind() != std::io::ErrorKind::Interrupted {
+                return Err(err);
+            }
+            for fd in fds.iter_mut() {
+                fd.revents = 0;
+            }
+        }
+        Ok(())
+    }
+}
+
 // ---- event loop --------------------------------------------------------
 
 struct Conn {
@@ -251,8 +339,13 @@ struct Conn {
     last_activity: Instant,
     in_flight: usize,
     close_after_flush: bool,
+    /// The peer closed its write side: nothing more to read.
+    eof: bool,
     /// Set when the output cap is blown: close now, no flush courtesy.
     kill: bool,
+    /// What to serve this pass: the poll `revents`, plus `POLLOUT` when a
+    /// reply was queued for it. Zero means the pass skips the connection.
+    ready: i16,
 }
 
 impl Conn {
@@ -265,7 +358,9 @@ impl Conn {
             last_activity: Instant::now(),
             in_flight: 0,
             close_after_flush: false,
+            eof: false,
             kill: false,
+            ready: 0,
         }
     }
 
@@ -290,6 +385,19 @@ impl Conn {
         self.out.extend_from_slice(bytes);
         telemetry.inc(Counter::NetFramesOut);
     }
+
+    /// What to wait for: input until EOF, writability while output is
+    /// pending. Errors and hang-ups are always reported.
+    fn poll_fd(&self) -> sys::PollFd {
+        let mut events = 0;
+        if !self.eof {
+            events |= sys::POLLIN;
+        }
+        if !self.flushed() {
+            events |= sys::POLLOUT;
+        }
+        sys::PollFd { fd: self.stream.as_raw_fd(), events, revents: 0 }
+    }
 }
 
 /// What a service pass decided about one connection.
@@ -299,72 +407,152 @@ enum Fate {
     Close,
 }
 
-fn event_loop(shared: &NetShared, listener: TcpListener) {
+/// Recently answered (request id, content fingerprint, encoded reply).
+type ReplyRing = VecDeque<(u64, u64, Arc<[u8]>)>;
+
+/// The next moment the loop must act without any fd becoming ready: the
+/// earliest idle-reaper expiry among connections with nothing in flight,
+/// or the drain deadline.
+fn next_deadline(
+    conns: &HashMap<u64, Conn>,
+    cfg: &NetConfig,
+    drain_started: Option<Instant>,
+) -> Option<Instant> {
+    let reap = conns
+        .values()
+        .filter(|c| c.in_flight == 0)
+        .filter_map(|c| c.last_activity.checked_add(cfg.idle_timeout))
+        .min();
+    let drain = drain_started.and_then(|t| t.checked_add(cfg.drain_timeout));
+    match (reap, drain) {
+        (Some(a), Some(b)) => Some(a.min(b)),
+        (a, b) => a.or(b),
+    }
+}
+
+fn event_loop(shared: &NetShared, listener: TcpListener, wake_rx: UnixStream) {
     let cfg = &shared.config;
     let tel = &shared.telemetry;
     let mut conns: HashMap<u64, Conn> = HashMap::new();
     let mut next_id: u64 = 1;
-    // Recently answered (request id + content fingerprint → encoded
-    // reply): retry dedup.
-    let mut reply_ring: VecDeque<(u64, u64, Vec<u8>)> = VecDeque::new();
+    let mut reply_ring = ReplyRing::new();
     let mut drain_started: Option<Instant> = None;
+    let mut draining = false;
+    // Reused across passes: the poll set, the connection id behind each
+    // of its connection entries, and the swapped-out completion batch.
+    let mut fds: Vec<sys::PollFd> = Vec::new();
+    let mut polled: Vec<u64> = Vec::new();
+    let mut done: Vec<Completion> = Vec::new();
 
     loop {
-        let draining = shared.stop.load(Ordering::Acquire);
+        // -- wait --
+        // Entry 0 is the wake channel, entry 1 the listener until the
+        // drain starts, then one entry per connection.
+        fds.clear();
+        polled.clear();
+        fds.push(sys::PollFd { fd: wake_rx.as_raw_fd(), events: sys::POLLIN, revents: 0 });
+        let accepting = !draining;
+        if accepting {
+            fds.push(sys::PollFd { fd: listener.as_raw_fd(), events: sys::POLLIN, revents: 0 });
+        }
+        let first_conn = fds.len();
+        for (&id, conn) in &conns {
+            fds.push(conn.poll_fd());
+            polled.push(id);
+        }
+        let timeout = next_deadline(&conns, cfg, drain_started)
+            .map(|t| t.saturating_duration_since(Instant::now()));
+        if sys::wait(&mut fds, timeout).is_err() {
+            // Only a kernel out of memory fails poll here; serve every fd
+            // as if ready (all nonblocking) rather than stall.
+            for fd in fds.iter_mut() {
+                fd.revents = fd.events;
+            }
+        }
+
+        // -- wake protocol --
+        // Drain the channel, then clear the flag, then read the state the
+        // wakers published. A wake landing after the clear writes a fresh
+        // byte, so the next poll returns at once; reading `stop` before
+        // the clear could miss a shutdown whose wake byte this pass then
+        // swallows, leaving teardown to wait on the next deadline.
+        if fds[0].revents != 0 {
+            let mut sink = [0u8; 64];
+            let _ = (&wake_rx).read(&mut sink);
+        }
+        // Acquire pairs with the release half of `wake`'s swap: whatever a
+        // waker published before finding the flag set is visible below.
+        shared.wake_pending.swap(false, Ordering::AcqRel);
+        draining = shared.stop.load(Ordering::Acquire);
         if draining && drain_started.is_none() {
             drain_started = Some(Instant::now());
         }
 
         // Accept until the backlog is empty (skipped once draining).
-        while !draining {
-            match listener.accept() {
-                Ok((stream, _peer)) => {
-                    if probes::probe("net.accept") == probes::Action::Fail {
-                        // Injected accept failure: the connection dies
-                        // before entering the loop, exactly like a peer
-                        // resetting inside the handshake.
-                        continue;
+        if accepting && !draining && fds[1].revents != 0 {
+            loop {
+                match listener.accept() {
+                    Ok((stream, _peer)) => {
+                        if probes::probe("net.accept") == probes::Action::Fail {
+                            // Injected accept failure: the connection dies
+                            // before entering the loop, exactly like a peer
+                            // resetting inside the handshake.
+                            continue;
+                        }
+                        if conns.len() >= cfg.max_connections {
+                            shed_at_accept(stream, tel);
+                            continue;
+                        }
+                        if stream.set_nonblocking(true).is_err() {
+                            continue;
+                        }
+                        let _ = stream.set_nodelay(true);
+                        conns.insert(next_id, Conn::new(stream));
+                        next_id += 1;
+                        tel.inc(Counter::NetConnectionsOpened);
+                        shared.live_connections.fetch_add(1, Ordering::Relaxed);
                     }
-                    if conns.len() >= cfg.max_connections {
-                        shed_at_accept(stream, tel);
-                        continue;
-                    }
-                    if stream.set_nonblocking(true).is_err() {
-                        continue;
-                    }
-                    let _ = stream.set_nodelay(true);
-                    conns.insert(next_id, Conn::new(stream));
-                    next_id += 1;
-                    tel.inc(Counter::NetConnectionsOpened);
-                    shared.live_connections.fetch_add(1, Ordering::Relaxed);
+                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+                    Err(_) => break,
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(_) => break,
+            }
+        }
+        for (i, id) in polled.iter().enumerate() {
+            let revents = fds[first_conn + i].revents;
+            if revents != 0 {
+                if let Some(conn) = conns.get_mut(id) {
+                    conn.ready |= revents;
+                }
             }
         }
 
         // Route finished plans back to their connections.
-        let done: Vec<Completion> = std::mem::take(&mut *lock(&shared.completions));
-        for c in done {
+        std::mem::swap(&mut done, &mut *lock(&shared.completions));
+        for c in done.drain(..) {
             shared.in_flight.fetch_sub(1, Ordering::Relaxed);
             if c.cacheable {
                 if reply_ring.len() >= cfg.reply_ring.max(1) {
                     reply_ring.pop_front();
                 }
-                reply_ring.push_back((c.request_id, c.fingerprint, c.bytes.clone()));
+                reply_ring.push_back((c.request_id, c.fingerprint, Arc::clone(&c.bytes)));
             }
             if let Some(conn) = conns.get_mut(&c.conn_id) {
                 conn.in_flight = conn.in_flight.saturating_sub(1);
                 conn.push_frame(&c.bytes, cfg.output_cap, tel);
+                // Try the write now rather than wait a poll for POLLOUT.
+                conn.ready |= sys::POLLOUT;
             }
             // Connection gone: the ring above still serves a retry that
             // arrives on a replacement connection.
         }
 
-        // Read, decode, dispatch and write for every connection.
+        // Read, decode, dispatch and write for every ready connection.
         let mut to_close: Vec<u64> = Vec::new();
         for (&id, conn) in conns.iter_mut() {
-            if service_conn(id, conn, shared, &mut reply_ring, draining) == Fate::Close {
+            let ready = std::mem::take(&mut conn.ready);
+            if ready != 0
+                && service_conn(id, conn, ready, shared, &mut reply_ring, draining) == Fate::Close
+            {
                 to_close.push(id);
             }
         }
@@ -417,8 +605,6 @@ fn event_loop(shared: &NetShared, listener: TcpListener) {
                 break;
             }
         }
-
-        std::thread::sleep(cfg.poll_interval);
     }
 
     // Drained (or drain timed out): flush the shared cache bank so a
@@ -459,13 +645,35 @@ fn shed_at_accept(mut stream: TcpStream, telemetry: &Telemetry) {
     }
 }
 
-/// One poll pass over a connection: drain readable bytes, decode frames,
-/// dispatch requests, flush output. Returns the connection's fate.
+/// Serve one ready connection: read and decode if the poll reported input
+/// (or an error or hang-up), then flush output. Returns its fate.
 fn service_conn(
     id: u64,
     conn: &mut Conn,
+    ready: i16,
     shared: &NetShared,
-    reply_ring: &mut VecDeque<(u64, u64, Vec<u8>)>,
+    reply_ring: &mut ReplyRing,
+    draining: bool,
+) -> Fate {
+    if ready & !sys::POLLOUT != 0 {
+        if conn.eof {
+            // Past EOF only an error or hang-up is reported: the peer is
+            // gone both ways and nothing pending can reach it.
+            return Fate::Close;
+        }
+        if read_and_decode(id, conn, shared, reply_ring, draining) == Fate::Close {
+            return Fate::Close;
+        }
+    }
+    flush(conn)
+}
+
+/// Drain readable bytes, decode frames and dispatch their requests.
+fn read_and_decode(
+    id: u64,
+    conn: &mut Conn,
+    shared: &NetShared,
+    reply_ring: &mut ReplyRing,
     draining: bool,
 ) -> Fate {
     let tel = &shared.telemetry;
@@ -481,12 +689,18 @@ fn service_conn(
             Ok(0) => {
                 // Peer EOF: finish what's pending, then close.
                 saw_eof = true;
+                conn.eof = true;
                 conn.close_after_flush = true;
                 break;
             }
             Ok(n) => {
                 conn.read_buf.extend_from_slice(&chunk[..n]);
                 conn.last_activity = Instant::now();
+                if n < chunk.len() {
+                    // A short read emptied the socket; the level-triggered
+                    // poll reports anything that arrives later.
+                    break;
+                }
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
@@ -577,8 +791,12 @@ fn service_conn(
         conn.push_frame(&bytes, shared.config.output_cap, tel);
         conn.read_buf.clear();
     }
+    Fate::Keep
+}
 
-    // -- write --
+/// Write pending output until done or the socket would block, then decide
+/// whether the connection stays.
+fn flush(conn: &mut Conn) -> Fate {
     if !conn.flushed() {
         if probes::probe("net.write") == probes::Action::Fail {
             return Fate::Close; // injected reset on the write side
@@ -620,7 +838,7 @@ fn handle_request(
     conn: &mut Conn,
     req: RequestFrame,
     shared: &NetShared,
-    reply_ring: &mut VecDeque<(u64, u64, Vec<u8>)>,
+    reply_ring: &mut ReplyRing,
     draining: bool,
 ) {
     let tel = &shared.telemetry;
@@ -644,9 +862,8 @@ fn handle_request(
         .iter()
         .find(|(rid, rfp, _)| *rid == req.request_id && *rfp == fingerprint)
     {
-        let bytes = bytes.clone();
         tel.inc(Counter::NetRepliesDeduped);
-        conn.push_frame(&bytes, shared.config.output_cap, tel);
+        conn.push_frame(bytes, shared.config.output_cap, tel);
         return;
     }
     let class = req.priority as usize;
@@ -703,13 +920,47 @@ fn dispatcher_loop(shared: &NetShared) {
             }
         };
         let Some(job) = job else { return };
-        let completion = run_job(shared, job);
-        lock(&shared.completions).push(completion);
+        match run_job(shared, job) {
+            Some(completion) => {
+                lock(&shared.completions).push(completion);
+                shared.wake();
+            }
+            // Abandoned at shutdown: the event loop is gone and so is the
+            // connection the answer was for.
+            None => {
+                shared.in_flight.fetch_sub(1, Ordering::Relaxed);
+            }
+        }
     }
 }
 
-/// Plan one request through the in-process service and encode the answer.
-fn run_job(shared: &NetShared, job: DispatchJob) -> Completion {
+/// Wait for a ticket's reply up to `ticket_timeout`, in `STOP_CHECK`
+/// slices so a shutdown past its drain ends the wait instead of joining
+/// on it. `None` is an abandoned wait; a zero `ticket_timeout` always
+/// times out.
+fn wait_ticket(
+    shared: &NetShared,
+    ticket: &PlanTicket,
+) -> Option<Result<ServiceReply, WaitTimeout>> {
+    let deadline = Instant::now().checked_add(shared.config.ticket_timeout);
+    loop {
+        let left =
+            deadline.map_or(Duration::MAX, |d| d.saturating_duration_since(Instant::now()));
+        if left.is_zero() {
+            return Some(Err(WaitTimeout));
+        }
+        if let Some(reply) = ticket.wait_for(left.min(STOP_CHECK)) {
+            return Some(Ok(reply));
+        }
+        if shared.dispatch_stop.load(Ordering::Acquire) {
+            return None;
+        }
+    }
+}
+
+/// Plan one request through the in-process service and encode the answer;
+/// `None` when shutdown abandoned the wait.
+fn run_job(shared: &NetShared, job: DispatchJob) -> Option<Completion> {
     let req = &job.request;
     let mut request =
         PlanRequest::new(req.query.clone(), req.priority).with_namespace(req.namespace);
@@ -721,7 +972,7 @@ fn run_job(shared: &NetShared, job: DispatchJob) -> Completion {
         );
     }
     let ticket = shared.service.submit(request);
-    match ticket.wait_timeout(shared.config.ticket_timeout) {
+    match wait_ticket(shared, &ticket)? {
         Ok(reply) => {
             if reply.deadline_expired {
                 shared.telemetry.inc(Counter::NetShedDeadline);
@@ -744,13 +995,13 @@ fn run_job(shared: &NetShared, job: DispatchJob) -> Completion {
                 plan_json,
             }
             .encode();
-            Completion {
+            Some(Completion {
                 conn_id: job.conn_id,
                 request_id: req.request_id,
                 fingerprint: job.fingerprint,
-                bytes,
+                bytes: bytes.into(),
                 cacheable: true,
-            }
+            })
         }
         Err(_timeout) => {
             let bytes = ErrorFrame {
@@ -762,13 +1013,13 @@ fn run_job(shared: &NetShared, job: DispatchJob) -> Completion {
                 ),
             }
             .encode();
-            Completion {
+            Some(Completion {
                 conn_id: job.conn_id,
                 request_id: req.request_id,
                 fingerprint: job.fingerprint,
-                bytes,
+                bytes: bytes.into(),
                 cacheable: false,
-            }
+            })
         }
     }
 }
